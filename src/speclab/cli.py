@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import (
+    BudgetExhausted,
     ConvergenceFailure,
     InvalidSpec,
     MalformedGraph6,
@@ -371,7 +372,7 @@ def _cmd_lemmas(args, config) -> int:
         report = clique_closure_check(host, A, mode, param, node_budget=config.node_budget)
     except PreconditionFailed as exc:
         sys.stderr.write(f"speclab: {exc}\n")
-        return EXIT_EXHAUSTED if "budget" in str(exc) else EXIT_USAGE
+        return EXIT_EXHAUSTED if isinstance(exc, BudgetExhausted) else EXIT_USAGE
     if config.output_format == "json":
         _emit(json.dumps(report.as_dict()))
     elif config.output_format == "text":

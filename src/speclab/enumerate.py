@@ -1,18 +1,35 @@
 """Connected graphs up to isomorphism by canonical augmentation.
 
-Level m+1 is built from level m by attaching a new highest-index vertex
-to every nonempty subset of an existing representative, then keeping a
-child only when the new vertex sits in the child's canonical deletion
-orbit.  That orbit is selected isomorphism-invariantly among the
-vertices whose removal keeps the graph connected: smallest refinement
-color first, then orbit identity, then smallest canonical code of the
-deleted graph, and for the rare pseudo-similar tie the orbit holding the
-vertex placed earliest by the canonical labeling.  A child accepted from
-one parent representative can then never be accepted from another, and
-within one parent only subsets related by a parent automorphism can
-collide, so parents with trivial automorphism group need no sibling
-bookkeeping at all; the others deduplicate accepted children by
-canonical code.
+Level m+1 is built from level m by attaching a new vertex m to a
+nonempty subset S of a representative P, giving the child P+S, and
+keeping the child only when m sits in its canonical deletion orbit.
+That orbit is selected isomorphism-invariantly among the vertices whose
+removal keeps the graph connected: smallest refinement color first, then
+orbit identity, then smallest canonical code of the deleted graph, and
+for the rare pseudo-similar tie the orbit holding the vertex placed
+earliest by the canonical labeling.  A child accepted from one parent
+representative can then never be accepted from another.  Among siblings
+only one subset per Aut(P)-orbit is tested, which is sound because:
+
+1. Two accepted children P+S and P+T are isomorphic iff T = g(S) for
+   some g in Aut(P), and acceptance is constant on orbits.  Such a g,
+   extended to fix m, is an isomorphism P+S -> P+T.  Conversely an
+   isomorphism f maps canonical deletion orbit onto canonical deletion
+   orbit and both contain m, so some automorphism a of P+T has
+   a(f(m)) = m; then a.f fixes m, restricts to an automorphism of P,
+   and maps N(m) = S onto N(m) = T.
+2. Walking subsets in ascending order, testing an unmarked subset and
+   marking its whole orbit tests exactly the smallest member of every
+   orbit: a smaller member was visited first, and the orbit then marked
+   was this one.  By 1 that member is where a walk deduplicating
+   accepted siblings by canonical code first meets its class, so both
+   walks yield the same graphs in the same order.
+3. Orbits need only generators of Aut(P), not its elements (K_8 has
+   40,320).  Let G_i fix 0..i-1 pointwise.  For every v > i in the
+   G_i-orbit of i, _aut_generators keeps one t_v in G_i with t_v(i) = v.
+   Any h in G_i equals t_{h(i)} h' with h' in G_{i+1} (t_i = 1), so by
+   induction down from G_m = 1 the kept elements generate G_0 = Aut(P),
+   and |Aut(P)| is the product of the G_i-orbit sizes of i.
 
 Refinement colors are assigned by sorted signature, so two isomorphic
 graphs get identical color vectors up to the isomorphism; color order
@@ -21,6 +38,7 @@ refines degree order, which justifies the degree shortcuts.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator
 
 from .errors import SizeLimitExceeded
@@ -52,45 +70,46 @@ def _wl(rows, n):
         colors = new
 
 
-def _has_automorphism(rows, n, colors, src, dst):
-    """Is there an automorphism taking src to dst?"""
+def _automorphism(rows, n, colors, src, dst, fixed=0):
+    """An automorphism fixing 0..fixed-1 and taking src to dst, or None.
+
+    Both src and dst must be >= fixed.
+    """
     if colors[src] != colors[dst]:
-        return False
+        return None
     if src == dst:
-        return True
+        return list(range(n))
+    rest = sorted((v for v in range(fixed, n) if v != src), key=lambda v: (colors[v], v))
+    order = [*range(fixed), src, *rest]
     perm = [-1] * n
     used = [False] * n
-    perm[src] = dst
-    used[dst] = True
-    rest = sorted((v for v in range(n) if v != src), key=lambda v: (colors[v], v))
-    mapped = [src]
 
     def bt(i):
-        if i == len(rest):
+        if i == n:
             return True
-        w = rest[i]
+        w = order[i]
         rw = rows[w]
-        for x in range(n):
+        for x in [w] if w < fixed else [dst] if w == src else range(n):
             if used[x] or colors[x] != colors[w]:
                 continue
-            ok = True
-            for p in mapped:
-                if (rw >> p) & 1 != (rows[x] >> perm[p]) & 1:
-                    ok = False
-                    break
-            if not ok:
+            if any((rw >> p) & 1 != (rows[x] >> perm[p]) & 1 for p in order[:i]):
                 continue
             perm[w] = x
             used[x] = True
-            mapped.append(w)
             if bt(i + 1):
                 return True
-            mapped.pop()
             used[x] = False
-            perm[w] = -1
         return False
 
-    return bt(0)
+    return perm if bt(0) else None
+
+
+def _aut_generators(rows, n):
+    """Generators of Aut: for each i, one automorphism fixing 0..i-1 and
+    taking i to each v > i it can reach (stabiliser-chain transversals)."""
+    colors = _wl(rows, n)
+    found = (_automorphism(rows, n, colors, i, v, i) for i in range(n) for v in range(i + 1, n))
+    return [g for g in found if g is not None]
 
 
 def _components_minus(rows, n, w):
@@ -103,18 +122,6 @@ def _components_minus(rows, n, w):
         comps.append(comp)
         todo &= ~comp
     return comps
-
-
-def _is_rigid(rows, n, colors):
-    """True when the only automorphism is the identity."""
-    by_color: dict[int, list[int]] = {}
-    for v in range(n):
-        by_color.setdefault(colors[v], []).append(v)
-    for members in by_color.values():
-        for i in range(1, len(members)):
-            if _has_automorphism(rows, n, colors, members[0], members[i]):
-                return False
-    return True
 
 
 def _accept(child, n, w_set):
@@ -138,7 +145,7 @@ def _accept(child, n, w_set):
     for i in range(len(w1)):
         for j in range(i + 1, len(w1)):
             a, b = find(w1[i]), find(w1[j])
-            if a != b and _has_automorphism(child, n, colors, w1[i], w1[j]):
+            if a != b and _automorphism(child, n, colors, w1[i], w1[j]) is not None:
                 root[b] = a
     orbits: dict[int, list[int]] = {}
     for w in w1:
@@ -167,9 +174,26 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     bit_new = 1 << m
     comps_per_w = [_components_minus(parent, m, w) for w in range(m)]
     pdeg = [parent[w].bit_count() for w in range(m)]
-    rigid = _is_rigid(parent, m, _wl(parent, m))
-    seen: set[bytes] = set()
+    images = []  # images[k][s]: subset s moved by generator k
+    for g in _aut_generators(parent, m):
+        img = [0]
+        for u in range(m):
+            bit = 1 << g[u]
+            img += [s | bit for s in img]
+        images.append(img)
+    marked = bytearray(1 << m)
     for subset in range(1, 1 << m):
+        if marked[subset]:
+            continue
+        marked[subset] = 1
+        todo = [subset]
+        while todo:
+            s = todo.pop()
+            for img in images:
+                t = img[s]
+                if not marked[t]:
+                    marked[t] = 1
+                    todo.append(t)
         child = list(parent)
         for i in iter_bits(subset):
             child[i] |= bit_new
@@ -185,18 +209,9 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if deg_new > low:
             continue
         w_set.append(m)
-        if deg_new < low:
-            accepted = True  # strictly smallest degree is strictly smallest color
-        else:
-            accepted = _accept(child, n, w_set)
-        if not accepted:
-            continue
-        if not rigid:
-            code = canonical_code(Graph(child))
-            if code in seen:
-                continue
-            seen.add(code)
-        yield child
+        # strictly smallest degree is strictly smallest color
+        if deg_new < low or _accept(child, n, w_set):
+            yield child
 
 
 def _iter_level(m: int):
@@ -211,13 +226,7 @@ def _iter_level(m: int):
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
     """All connected graphs on n vertices, one per isomorphism class."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > CANONICAL_MAX_VERTICES:
-        raise SizeLimitExceeded(
-            f"enumeration limited to {CANONICAL_MAX_VERTICES} vertices, got {n}"
-        )
-    return (Graph(rows) for rows in _iter_level(n))
+    return enumerate_connected_slice(n, 0, 1)
 
 
 def enumerate_connected_slice(n: int, part: int, parts: int) -> Iterator[Graph]:
@@ -237,10 +246,6 @@ def enumerate_connected_slice(n: int, part: int, parts: int) -> Iterator[Graph]:
             f"enumeration limited to {CANONICAL_MAX_VERTICES} vertices, got {n}"
         )
     if n == 1:
-        if part == 0:
-            yield Graph((0,))
-        return
-    parents = list(_iter_level(n - 1))
-    for p in parents[part::parts]:
-        for rows in _children(p):
-            yield Graph(rows)
+        return iter([Graph((0,))] if part == 0 else [])
+    parents = islice(_iter_level(n - 1), part, None, parts)
+    return (Graph(rows) for p in parents for rows in _children(p))

@@ -63,5 +63,9 @@ class PreconditionFailed(SpeclabError):
     """A checked operation precondition does not hold for the supplied input."""
 
 
+class BudgetExhausted(PreconditionFailed):
+    """The node budget ran out before a precondition could be settled."""
+
+
 class VerificationFailed(SpeclabError):
     """A verification pass found a claim that does not hold."""

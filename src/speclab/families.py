@@ -254,6 +254,12 @@ def _bipartite_with_embed(n: int, embed: Graph) -> tuple[Graph, Layout]:
     )
     return g, layout
 
+def _two_cliques(s: int) -> Graph:
+    """Two disjoint K_s on 2s vertices: the odd-s embedding of efgg and zlx."""
+    ks = [(u, v) for u in range(s) for v in range(u + 1, s)]
+    return Graph.from_edges(2 * s, ks + [(u + s, v + s) for u, v in ks])
+
+
 def efgg_extremal(s: int, n: int) -> tuple[Graph, Layout]:
     """Edge-extremal construction for hosts with no friendship subgraph.
 
@@ -263,11 +269,7 @@ def efgg_extremal(s: int, n: int) -> tuple[Graph, Layout]:
     """
     spec = FamilySpec("efgg", s=s, n=n)
     s, n = spec.s, spec.n
-    if s % 2:
-        ks = [(u, v) for u in range(s) for v in range(u + 1, s)]
-        embed = Graph.from_edges(2 * s, ks + [(u + s, v + s) for u, v in ks])
-    else:
-        embed = near_regular(s)
+    embed = _two_cliques(s) if s % 2 else near_regular(s)
     return _bipartite_with_embed(n, embed)
 
 def zlx_extremal(s: int, n: int) -> tuple[Graph, Layout]:
@@ -278,11 +280,7 @@ def zlx_extremal(s: int, n: int) -> tuple[Graph, Layout]:
     """
     spec = FamilySpec("zlx", s=s, n=n)
     s, n = spec.s, spec.n
-    if s % 2:
-        ks = [(u, v) for u in range(s) for v in range(u + 1, s)]
-        embed = Graph.from_edges(2 * s, ks + [(u + s, v + s) for u, v in ks])
-    else:
-        embed, _ = hstar(s)
+    embed = _two_cliques(s) if s % 2 else hstar(s)[0]
     return _bipartite_with_embed(n, embed)
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    BudgetExhausted,
     IndexOutOfRange,
     OverlappingSets,
     PatternTooLarge,
@@ -546,7 +547,8 @@ def clique_closure_check(
     """Completing A into a clique should not create the forbidden minor.
 
     The host must already be minor-free (PreconditionFailed otherwise,
-    also when the budget runs out before that is settled).  Reports the
+    or its subclass BudgetExhausted when the budget runs out before that
+    is settled).  Reports the
     pre- and post-closure answers; ok means the closed graph is still
     clean.
     """
@@ -557,7 +559,7 @@ def clique_closure_check(
     if base.status == FOUND:
         raise PreconditionFailed("host already contains the forbidden minor")
     if base.status == EXHAUSTED:
-        raise PreconditionFailed("budget too small to certify the host is minor-free")
+        raise BudgetExhausted("budget too small to certify the host is minor-free")
     closed = run(g.with_clique(A), param, node_budget)
     return ClosureReport(
         mode=mode,

@@ -24,7 +24,7 @@ import re
 import time
 from dataclasses import dataclass
 
-from .enumerate import _CACHE_MAX, enumerate_connected, enumerate_connected_slice
+from .enumerate import enumerate_connected, enumerate_connected_slice
 from .errors import VerificationFailed
 from .families import FamilySpec, construct, expected_edge_count
 from .graph import Graph, canonical_code
@@ -147,11 +147,7 @@ def _scan(n, constraint, budget, part, parts):
     exhausted = 0
     best = None
     keep: list[tuple[float, str]] = []
-    if parts == 1:
-        stream = enumerate_connected(n)
-    else:
-        stream = enumerate_connected_slice(n, part, parts)
-    for g in stream:
+    for g in enumerate_connected_slice(n, part, parts):
         enumerated += 1
         status = _test_graph(g, family, relation, param, budget)
         if status == EXHAUSTED:
@@ -194,11 +190,6 @@ def extremal_search(
     if workers == 1:
         partials = [_scan(n, constraint, node_budget, 0, 1)]
     else:
-        if 1 < n <= _CACHE_MAX + 1:
-            # warm the level cache so forked workers inherit it instead
-            # of rebuilding the augmentation tree each
-            for _ in enumerate_connected(n - 1):
-                pass
         ctx = multiprocessing.get_context("fork")
         jobs = [(n, constraint, node_budget, i, workers) for i in range(workers)]
         with ctx.Pool(workers) as pool:

@@ -289,6 +289,20 @@ class TestTextFormats:
         assert code == 0
         assert "ok=True" in out
 
+    def test_lemmas_closure_budget_exhausted(self, capsys):
+        k210 = g6_of(FamilySpec("complete-bipartite", a=2, b=10))
+        code, _, err = invoke(
+            capsys, ["lemmas", "--check", "l34", "--host", k210, "--A", "0,1", "--budget", "2"]
+        )
+        assert code == 3
+        assert "budget" in err
+
+    def test_lemmas_closure_host_has_minor(self, capsys):
+        k5 = g6_of(FamilySpec("complete", n=5))
+        code, _, err = invoke(capsys, ["lemmas", "--check", "l34", "--host", k5, "--A", "0,1"])
+        assert code == 1
+        assert "already contains" in err
+
 
 class TestSubprocess:
     def test_module_entry_point(self):

@@ -1,6 +1,13 @@
+import hashlib
+from itertools import permutations
+
 import pytest
 
-from speclab.enumerate import enumerate_connected
+from speclab.enumerate import (
+    _aut_generators,
+    enumerate_connected,
+    enumerate_connected_slice,
+)
 from speclab.errors import SizeLimitExceeded
 from speclab.graph import Graph, canonical_code, is_connected
 
@@ -68,3 +75,75 @@ class TestEnumeration:
             list(enumerate_connected(0))
         with pytest.raises(SizeLimitExceeded):
             enumerate_connected(11)
+
+    def test_pinned_order(self):
+        # graphs and order as produced by per-child canonical-code dedup
+        pinned = {
+            7: "1a20657b3241ba8f62a20aecd97a5f6ed8d215248f6f3ca2ef6643ead6cbcbb8",
+            8: "da10e8f78685a54d1e7303af17645375a7b8f99161a8377ffaef38763ccea922",
+        }
+        for n, digest in pinned.items():
+            rows = [g.rows for g in enumerate_connected(n)]
+            assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_slices_partition(self, n, parts):
+        full = [g.rows for g in enumerate_connected(n)]
+        sliced = [g.rows for k in range(parts) for g in enumerate_connected_slice(n, k, parts)]
+        assert sorted(sliced) == sorted(full)
+
+    def test_slice_limits(self):
+        for part, parts in [(0, 0), (2, 2), (-1, 2)]:
+            with pytest.raises(ValueError):
+                enumerate_connected_slice(5, part, parts)
+        assert [g.rows for g in enumerate_connected_slice(1, 1, 2)] == []
+
+
+def unpruned_children(rows):
+    """Every connected one-vertex extension, no acceptance test, no dedup."""
+    m = len(rows)
+    for subset in range(1, 1 << m):
+        child = [r | (1 << m) if (subset >> i) & 1 else r for i, r in enumerate(rows)]
+        yield Graph(tuple(child) + (subset,))
+
+
+def brute_force_aut_count(g):
+    edges = set(g.edges())
+    return sum(
+        1
+        for p in permutations(range(g.n))
+        if all(tuple(sorted((p[u], p[v]))) in edges for u, v in edges)
+    )
+
+
+def group_closure(gens, n):
+    identity = tuple(range(n))
+    group = {identity}
+    todo = [identity]
+    while todo:
+        h = todo.pop()
+        for g in gens:
+            gh = tuple(g[h[v]] for v in range(n))
+            if gh not in group:
+                group.add(gh)
+                todo.append(gh)
+    return group
+
+
+class TestOrbitDedup:
+    def test_differential_against_unpruned_n7(self):
+        # every connected 7-vertex graph has a non-cut vertex, so it is a
+        # child of some connected 6-vertex graph
+        unpruned = {canonical_code(c) for g in enumerate_connected(6) for c in unpruned_children(g.rows)}
+        got = [canonical_code(g) for g in enumerate_connected(7)]
+        assert len(got) == len(set(got))
+        assert set(got) == unpruned
+
+    def test_generators_close_to_full_group(self):
+        for n in range(1, 7):
+            for g in enumerate_connected(n):
+                gens = _aut_generators(g.rows, n)
+                for p in gens:
+                    assert g.relabel(p) == g
+                assert len(group_closure(gens, n)) == brute_force_aut_count(g)

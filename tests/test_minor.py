@@ -4,6 +4,7 @@ import random
 import pytest
 
 from speclab.errors import (
+    BudgetExhausted,
     IndexOutOfRange,
     OverlappingSets,
     PatternTooLarge,
@@ -413,7 +414,7 @@ class TestCliqueClosure:
     def test_precondition(self):
         with pytest.raises(PreconditionFailed):
             clique_closure_check(complete(5), {0, 1}, "fs", 2)
-        with pytest.raises(PreconditionFailed):
+        with pytest.raises(BudgetExhausted):
             clique_closure_check(complete_bipartite(2, 10), {0, 1}, "fs", 2, node_budget=2)
         with pytest.raises(ValueError):
             clique_closure_check(complete(3), {0}, "zz", 1)
