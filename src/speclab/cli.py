@@ -5,6 +5,11 @@ testing, structural lemma checks, exhaustive search, multi-n
 verification, and edge-count audits.  Exit codes are part of the
 contract: 0 success, 1 usage error, 2 a checked claim failed, 3 a
 search hit its resource budget.  Scripted runs need no output parsing.
+
+One table, _COMMANDS, declares per subcommand its arguments, the output
+formats it writes and the shared flags it reads; the parser is built
+from it, so anything else is a usage error before any work is done.
+Handlers return their exit code with the output lines of every format.
 """
 
 from __future__ import annotations
@@ -15,12 +20,11 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import (
     BudgetExhausted,
     ConvergenceFailure,
-    InvalidSpec,
-    MalformedGraph6,
     PreconditionFailed,
     SpeclabError,
     VerificationFailed,
@@ -54,17 +58,13 @@ EXIT_USAGE = 1
 EXIT_CLAIM = 2
 EXIT_EXHAUSTED = 3
 
-
-@dataclass(frozen=True)
-class CliConfig:
-    tolerance: float = 1e-10
-    max_iter: int = 100_000
-    node_budget: int = DEFAULT_NODE_BUDGET
-    workers: int = 0  # 0 = machine parallelism
-    output_format: str = "json"
-
-    def resolved_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
+# shared flag -> (type, environment variable, default, help)
+_SHARED = {
+    "tolerance": (float, "SPECLAB_TOLERANCE", 1e-10, "power iteration residual tolerance (default 1e-10, env SPECLAB_TOLERANCE)"),
+    "max_iter": (int, None, 100_000, "power iteration cap (default 100000)"),
+    "budget": (int, "SPECLAB_BUDGET", DEFAULT_NODE_BUDGET, "search node budget (default 10^7, env SPECLAB_BUDGET)"),
+    "workers": (int, "SPECLAB_WORKERS", 0, "worker processes for search, 0 = all cores, capped at the core count (env SPECLAB_WORKERS)"),
+}
 
 
 class _UsageError(Exception):
@@ -78,115 +78,34 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _env_float(name, fallback):
-    raw = os.environ.get(name)
+def _env(name, kind, default):
+    raw = os.environ.get(name) if name is not None else None
     if raw is None:
-        return fallback
+        return default
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise _UsageError(f"{name} is not a number: {raw!r}")
+        noun = "a number" if kind is float else "an integer"
+        raise _UsageError(f"{name} is not {noun}: {raw!r}")
 
 
-def _env_int(name, fallback):
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"{name} is not an integer: {raw!r}")
-
-
-def _config_from(args) -> CliConfig:
-    # precedence: flag > environment > default
-    tolerance = args.tolerance
-    if tolerance is None:
-        tolerance = _env_float("SPECLAB_TOLERANCE", 1e-10)
-    budget = args.budget
-    if budget is None:
-        budget = _env_int("SPECLAB_BUDGET", DEFAULT_NODE_BUDGET)
-    workers = args.workers
-    if workers is None:
-        workers = _env_int("SPECLAB_WORKERS", 0)
-    max_iter = args.max_iter if args.max_iter is not None else 100_000
-    if tolerance <= 0:
+def _resolve(args) -> None:
+    """Fill in the shared flags the command reads: flag > environment > default."""
+    flags = _COMMANDS[args.command].flags
+    for name in flags:
+        if getattr(args, name) is None:
+            kind, env, default, _ = _SHARED[name]
+            setattr(args, name, _env(env, kind, default))
+    if "tolerance" in flags and args.tolerance <= 0:
         raise _UsageError("tolerance must be > 0")
-    if budget < 1:
+    if "budget" in flags and args.budget < 1:
         raise _UsageError("node budget must be >= 1")
-    if workers < 0:
-        raise _UsageError("workers must be >= 0")
-    return CliConfig(
-        tolerance=tolerance,
-        max_iter=max_iter,
-        node_budget=budget,
-        workers=workers,
-        output_format=args.format,
-    )
-
-
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tolerance", type=float, default=None, help="power iteration residual tolerance (default 1e-10, env SPECLAB_TOLERANCE)")
-    p.add_argument("--max-iter", type=int, default=None, help="power iteration cap (default 100000)")
-    p.add_argument("--budget", type=int, default=None, help="search node budget (default 10^7, env SPECLAB_BUDGET)")
-    p.add_argument("--workers", type=int, default=None, help="worker processes for search, 0 = all cores (env SPECLAB_WORKERS)")
-    p.add_argument("--format", choices=("json", "csv", "g6", "text"), default="json", help="output format where the subcommand supports it")
-
-
-def _build_parser() -> _Parser:
-    top = _Parser(prog="speclab", description=__doc__)
-    sub = top.add_subparsers(dest="command", metavar="command")
-
-    p = sub.add_parser("construct", help="build a family member, print g6")
-    p.add_argument("family", help="family spec, e.g. friendship:s=2")
-    p.add_argument("--layout", action="store_true", help="also print the region layout as JSON")
-    _common_flags(p)
-
-    p = sub.add_parser("rho", help="spectral radius of a graph")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--g6", help="graph as a g6 string")
-    src.add_argument("--family", help="family spec to construct")
-    src.add_argument("--stdin", action="store_true", help="read one g6 string from stdin")
-    p.add_argument("--closed-form", action="store_true", help="compare against the analytic value (families only); mismatch over 1e-9 exits 2")
-    _common_flags(p)
-
-    p = sub.add_parser("minor", help="minor containment with certificate")
-    p.add_argument("--pattern", required=True, help="fs:s=N, qt:t=N, or a g6 string")
-    p.add_argument("--host", required=True, help="host g6 string, or - for stdin")
-    _common_flags(p)
-
-    p = sub.add_parser("subgraph", help="direct subgraph witness search")
-    p.add_argument("--pattern", required=True, help="fs:s=N or qt:t=N")
-    p.add_argument("--host", required=True, help="host g6 string, or - for stdin")
-    _common_flags(p)
-
-    p = sub.add_parser("lemmas", help="structural lemma checks on a host")
-    p.add_argument("--check", required=True, choices=("l33", "l53", "l34", "l54"), help="l33/l53: hub-and-side structure report; l34/l54: clique closure")
-    p.add_argument("--host", required=True, help="host g6 string, or - for stdin")
-    p.add_argument("--A", required=True, help="comma-separated hub vertex indices")
-    p.add_argument("--B", default=None, help="comma-separated side vertices (default: common neighborhood of A)")
-    p.add_argument("--param", type=int, default=None, help="s or t for closure checks (default: |A|)")
-    _common_flags(p)
-
-    p = sub.add_parser("search", help="exhaustive extremal search at one n")
-    p.add_argument("--constraint", required=True, help="e.g. fs-minor-free:s=1 (the -free infix may be omitted)")
-    p.add_argument("--n", type=int, required=True)
-    _common_flags(p)
-
-    p = sub.add_parser("verify", help="per-n searches with predicted-graph sanity checks")
-    p.add_argument("--mode", required=True, help="fs:s=N, qt:t=N, or qt-subgraph:t=N")
-    p.add_argument("--n-from", type=int, required=True)
-    p.add_argument("--n-to", type=int, required=True)
-    _common_flags(p)
-
-    p = sub.add_parser("audit", help="edge counts of constructions vs closed-form bounds")
-    p.add_argument("--family", action="append", required=True, help="family spec, repeatable")
-    p.add_argument("--mode", choices=("fs", "qt"), default="fs")
-    p.add_argument("--param", type=int, default=None, help="s or t for the bound checks (default: from the first spec)")
-    p.add_argument("--c-constant", type=float, default=None, help="C for the bipartite C*a + param*n slack check")
-    _common_flags(p)
-
-    return top
+    if "workers" in flags:
+        if args.workers < 0:
+            raise _UsageError("workers must be >= 0")
+        # the work is CPU-bound and reports are identical for every count
+        cores = os.cpu_count() or 1
+        args.workers = min(args.workers, cores) if args.workers > 0 else cores
 
 
 def _read_g6_arg(value: str) -> Graph:
@@ -219,36 +138,23 @@ def _normalize_constraint(text: str) -> str:
     return re.sub(r"^(fs|qt)-(minor|subgraph):", r"\1-\2-free:", text)
 
 
-def _emit(payload: str) -> None:
-    sys.stdout.write(payload)
-    if not payload.endswith("\n"):
-        sys.stdout.write("\n")
-
-
-def _cmd_construct(args, config) -> int:
+def _cmd_construct(args):
     spec = parse_family_spec(args.family)
     g, layout = construct(spec)
     g6 = g6_encode(g).decode("ascii")
-    layout_dict = {name: sorted(vs) for name, vs in layout.regions.items()}
-    if config.output_format == "g6":
-        _emit(g6)
-        if args.layout:
-            _emit(json.dumps(layout_dict))
-    elif config.output_format == "json":
-        out = {"spec": spec.text(), "n": g.n, "edges": g.edge_count, "g6": g6}
-        if args.layout:
-            out["layout"] = layout_dict
-        _emit(json.dumps(out))
-    elif config.output_format == "text":
-        _emit(f"{spec.text()}: n={g.n} edges={g.edge_count} g6={g6}")
-        if args.layout:
-            _emit(json.dumps(layout_dict))
-    else:
-        raise _UsageError("construct supports g6, json, or text output")
-    return EXIT_OK
+    out = {"spec": spec.text(), "n": g.n, "edges": g.edge_count, "g6": g6}
+    layout_lines = []
+    if args.layout:
+        out["layout"] = {name: sorted(vs) for name, vs in layout.regions.items()}
+        layout_lines.append(json.dumps(out["layout"]))
+    return EXIT_OK, {
+        "g6": [g6, *layout_lines],
+        "json": [json.dumps(out)],
+        "text": [f"{spec.text()}: n={g.n} edges={g.edge_count} g6={g6}", *layout_lines],
+    }
 
 
-def _cmd_rho(args, config) -> int:
+def _cmd_rho(args):
     spec = None
     if args.family is not None:
         spec = parse_family_spec(args.family)
@@ -259,48 +165,39 @@ def _cmd_rho(args, config) -> int:
         g = _read_g6_arg("-")
     if args.closed_form and spec is None:
         raise _UsageError("--closed-form needs --family")
-    result = spectral_radius(g, tol=config.tolerance, max_iter=config.max_iter)
+    result = spectral_radius(g, tol=args.tolerance, max_iter=args.max_iter)
     out = result.as_dict()
+    line = f"rho = {result.rho!r} (iterations={result.iterations}, residual={result.residual:.3e})"
     code = EXIT_OK
     if args.closed_form:
         analytic = rho_closed_form(spec)
         out["closed_form"] = analytic
         out["delta"] = result.rho - analytic
         out["within_tolerance"] = abs(out["delta"]) <= CLOSED_FORM_TOLERANCE
+        line += f" closed_form={analytic!r} delta={out['delta']:.3e}"
         if not out["within_tolerance"]:
             code = EXIT_CLAIM
-    if config.output_format == "json":
-        _emit(json.dumps(out))
-    elif config.output_format == "text":
-        line = f"rho = {result.rho!r} (iterations={result.iterations}, residual={result.residual:.3e})"
-        if args.closed_form:
-            line += f" closed_form={out['closed_form']!r} delta={out['delta']:.3e}"
-        _emit(line)
-    else:
-        raise _UsageError("rho supports json or text output")
-    return code
+    return code, {"json": [json.dumps(out)], "text": [line]}
 
 
-def _cmd_minor(args, config) -> int:
+def _cmd_minor(args):
     host = _read_g6_arg(args.host)
     fsqt = _parse_fsqt(args.pattern)
     if fsqt is not None:
         family, param = fsqt
         run = has_fs_minor if family == "fs" else has_qt_minor
-        answer = run(host, param, node_budget=config.node_budget)
+        answer = run(host, param, node_budget=args.budget)
     else:
         pattern = g6_decode(args.pattern)
-        answer = find_minor_model(host, pattern, node_budget=config.node_budget)
-    if config.output_format == "json":
-        _emit(json.dumps(answer.as_dict()))
-    elif config.output_format == "text":
-        _emit(f"status={answer.status} nodes={answer.nodes_used}")
-    else:
-        raise _UsageError("minor supports json or text output")
-    return EXIT_EXHAUSTED if answer.status == EXHAUSTED else EXIT_OK
+        answer = find_minor_model(host, pattern, node_budget=args.budget)
+    code = EXIT_EXHAUSTED if answer.status == EXHAUSTED else EXIT_OK
+    return code, {
+        "json": [json.dumps(answer.as_dict())],
+        "text": [f"status={answer.status} nodes={answer.nodes_used}"],
+    }
 
 
-def _cmd_subgraph(args, config) -> int:
+def _cmd_subgraph(args):
     host = _read_g6_arg(args.host)
     fsqt = _parse_fsqt(args.pattern)
     if fsqt is None:
@@ -313,20 +210,12 @@ def _cmd_subgraph(args, config) -> int:
             "status": "found" if w is not None else "not_found",
             "witness": w.as_dict() if w is not None else None,
         }
-        status_line = out["status"]
     else:
-        answer = qt_subgraph_witness(host, param, node_budget=config.node_budget)
+        answer = qt_subgraph_witness(host, param, node_budget=args.budget)
         out = answer.as_dict()
-        status_line = answer.status
         if answer.status == EXHAUSTED:
             code = EXIT_EXHAUSTED
-    if config.output_format == "json":
-        _emit(json.dumps(out))
-    elif config.output_format == "text":
-        _emit(f"status={status_line}")
-    else:
-        raise _UsageError("subgraph supports json or text output")
-    return code
+    return code, {"json": [json.dumps(out)], "text": [f"status={out['status']}"]}
 
 
 def _common_neighborhood(g: Graph, A: list[int]) -> list[int]:
@@ -339,7 +228,7 @@ def _common_neighborhood(g: Graph, A: list[int]) -> list[int]:
     return [v for v in range(g.n) if (mask >> v) & 1]
 
 
-def _cmd_lemmas(args, config) -> int:
+def _cmd_lemmas(args):
     host = _read_g6_arg(args.host)
     A = _parse_indices(args.A)
     if not A:
@@ -348,16 +237,6 @@ def _cmd_lemmas(args, config) -> int:
         B = _parse_indices(args.B) if args.B is not None else _common_neighborhood(host, A)
         checker = check_structure_fs if args.check == "l33" else check_structure_qt
         report = checker(host, A, B)
-        if config.output_format == "json":
-            _emit(json.dumps(report.as_dict()))
-        elif config.output_format == "text":
-            _emit(
-                f"mode={report.mode} bipartite_complete={report.bipartite_complete} "
-                f"b_path_free={report.b_path_free} |D|={len(report.D)} "
-                f"threshold={report.d_threshold:.3f} meets={report.d_meets_threshold}"
-            )
-        else:
-            raise _UsageError("lemmas supports json or text output")
         cap = 1 if args.check == "l33" else 2
         holds = (
             report.bipartite_complete
@@ -365,52 +244,49 @@ def _cmd_lemmas(args, config) -> int:
             and report.d_meets_threshold
             and report.max_outside_b_neighbors <= cap
         )
-        return EXIT_OK if holds else EXIT_CLAIM
+        return EXIT_OK if holds else EXIT_CLAIM, {
+            "json": [json.dumps(report.as_dict())],
+            "text": [
+                f"mode={report.mode} bipartite_complete={report.bipartite_complete} "
+                f"b_path_free={report.b_path_free} |D|={len(report.D)} "
+                f"threshold={report.d_threshold:.3f} meets={report.d_meets_threshold}"
+            ],
+        }
     mode = "fs" if args.check == "l34" else "qt"
     param = args.param if args.param is not None else len(A)
     try:
-        report = clique_closure_check(host, A, mode, param, node_budget=config.node_budget)
+        report = clique_closure_check(host, A, mode, param, node_budget=args.budget)
     except PreconditionFailed as exc:
         sys.stderr.write(f"speclab: {exc}\n")
-        return EXIT_EXHAUSTED if isinstance(exc, BudgetExhausted) else EXIT_USAGE
-    if config.output_format == "json":
-        _emit(json.dumps(report.as_dict()))
-    elif config.output_format == "text":
-        _emit(f"base={report.base.status} closed={report.closed.status} ok={report.ok}")
-    else:
-        raise _UsageError("lemmas supports json or text output")
+        return EXIT_EXHAUSTED if isinstance(exc, BudgetExhausted) else EXIT_USAGE, None
     if report.closed.status == EXHAUSTED:
-        return EXIT_EXHAUSTED
-    return EXIT_OK if report.ok else EXIT_CLAIM
+        code = EXIT_EXHAUSTED
+    else:
+        code = EXIT_OK if report.ok else EXIT_CLAIM
+    return code, {
+        "json": [json.dumps(report.as_dict())],
+        "text": [f"base={report.base.status} closed={report.closed.status} ok={report.ok}"],
+    }
 
 
-def _cmd_search(args, config) -> int:
+def _cmd_search(args):
     constraint = _normalize_constraint(args.constraint)
-    report = extremal_search(
-        args.n,
-        constraint,
-        node_budget=config.node_budget,
-        workers=config.resolved_workers(),
-    )
-    if config.output_format == "json":
-        _emit(report.to_json())
-    elif config.output_format == "csv":
-        _emit(reports_to_csv([report]))
-    elif config.output_format == "text":
-        _emit(
+    report = extremal_search(args.n, constraint, node_budget=args.budget, workers=args.workers)
+    return EXIT_EXHAUSTED if report.exhausted_count > 0 else EXIT_OK, {
+        "json": [report.to_json()],
+        "csv": [reports_to_csv([report])],
+        "text": [
             f"n={report.n} {report.constraint}: enumerated={report.enumerated} "
             f"feasible={report.feasible} best_rho={report.best_rho!r} "
             f"match={report.match} exhausted={report.exhausted_count}"
-        )
-    else:
-        raise _UsageError("search supports json, csv, or text output")
-    return EXIT_EXHAUSTED if report.exhausted_count > 0 else EXIT_OK
+        ],
+    }
 
 
 _MODE_RE = re.compile(r"^(fs:s|qt:t|qt-subgraph:t)=(\d+)$")
 
 
-def _cmd_verify(args, config) -> int:
+def _cmd_verify(args):
     m = _MODE_RE.match(args.mode)
     if m is None:
         raise _UsageError("mode must be fs:s=N, qt:t=N, or qt-subgraph:t=N")
@@ -418,50 +294,29 @@ def _cmd_verify(args, config) -> int:
     param = int(m.group(2))
     try:
         reports = verify_theorem_small_n(
-            mode,
-            param,
-            (args.n_from, args.n_to),
-            node_budget=config.node_budget,
-            workers=config.resolved_workers(),
+            mode, param, (args.n_from, args.n_to), node_budget=args.budget, workers=args.workers
         )
     except VerificationFailed as exc:
         sys.stderr.write(f"speclab: {exc}\n")
-        return EXIT_CLAIM
-    if config.output_format == "json":
-        _emit(json.dumps([r.as_dict() for r in reports]))
-    elif config.output_format == "csv":
-        _emit(reports_to_csv(reports))
-    elif config.output_format == "text":
-        for r in reports:
-            _emit(f"n={r.n} match={r.match} best_rho={r.best_rho!r} maximizers={len(r.maximizers)}")
-    else:
-        raise _UsageError("verify supports json, csv, or text output")
-    if any(r.exhausted_count > 0 for r in reports):
-        return EXIT_EXHAUSTED
-    return EXIT_OK
+        return EXIT_CLAIM, None
+    code = EXIT_EXHAUSTED if any(r.exhausted_count > 0 for r in reports) else EXIT_OK
+    return code, {
+        "json": [json.dumps([r.as_dict() for r in reports])],
+        "csv": [reports_to_csv(reports)],
+        "text": [
+            f"n={r.n} match={r.match} best_rho={r.best_rho!r} maximizers={len(r.maximizers)}"
+            for r in reports
+        ],
+    }
 
 
-def _cmd_audit(args, config) -> int:
+def _cmd_audit(args):
     specs = [parse_family_spec(text) for text in args.family]
     param = args.param
     if param is None:
-        for spec in specs:
-            if spec.s is not None:
-                param = spec.s
-                break
-            if spec.t is not None:
-                param = spec.t
-                break
-        else:
-            param = 1
+        # the first s or t among the specs
+        param = next((p for spec in specs for p in (spec.s, spec.t) if p is not None), 1)
     report = edge_bound_audit(specs, param, args.mode, c_constant=args.c_constant)
-    if config.output_format == "json":
-        _emit(json.dumps(report))
-    elif config.output_format == "text":
-        for row in report["rows"]:
-            _emit(f"{row['spec']}: edges={row['edges']} expected={row['expected_edges']} ok={row['matches_expected']}")
-    else:
-        raise _UsageError("audit supports json or text output")
     ok = all(
         row["matches_expected"]
         and all(
@@ -472,43 +327,114 @@ def _cmd_audit(args, config) -> int:
         )
         for row in report["rows"]
     )
-    return EXIT_OK if ok else EXIT_CLAIM
+    return EXIT_OK if ok else EXIT_CLAIM, {
+        "json": [json.dumps(report)],
+        "text": [
+            f"{row['spec']}: edges={row['edges']} expected={row['expected_edges']} ok={row['matches_expected']}"
+            for row in report["rows"]
+        ],
+    }
 
 
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "rho": _cmd_rho,
-    "minor": _cmd_minor,
-    "subgraph": _cmd_subgraph,
-    "lemmas": _cmd_lemmas,
-    "search": _cmd_search,
-    "verify": _cmd_verify,
-    "audit": _cmd_audit,
+def _arg(*names, **options):
+    return names, options
+
+
+@dataclass(frozen=True)
+class _Command:
+    handler: Callable  # args -> (exit code, {format: lines} or None once stderr is written)
+    help: str
+    formats: tuple[str, ...]
+    flags: tuple[str, ...]  # keys of _SHARED the handler reads
+    arguments: tuple  # _arg(...) each, or a list of them of which exactly one is required
+
+
+_HOST = _arg("--host", required=True, help="host g6 string, or - for stdin")
+
+_COMMANDS = {
+    "construct": _Command(_cmd_construct, "build a family member, print g6", ("g6", "json", "text"), (), (
+        _arg("family", help="family spec, e.g. friendship:s=2"),
+        _arg("--layout", action="store_true", help="also print the region layout as JSON"),
+    )),
+    "rho": _Command(_cmd_rho, "spectral radius of a graph", ("json", "text"), ("tolerance", "max_iter"), (
+        [
+            _arg("--g6", help="graph as a g6 string"),
+            _arg("--family", help="family spec to construct"),
+            _arg("--stdin", action="store_true", help="read one g6 string from stdin"),
+        ],
+        _arg("--closed-form", action="store_true", help="compare against the analytic value (families only); mismatch over 1e-9 exits 2"),
+    )),
+    "minor": _Command(_cmd_minor, "minor containment with certificate", ("json", "text"), ("budget",), (
+        _arg("--pattern", required=True, help="fs:s=N, qt:t=N, or a g6 string"),
+        _HOST,
+    )),
+    "subgraph": _Command(_cmd_subgraph, "direct subgraph witness search", ("json", "text"), ("budget",), (
+        _arg("--pattern", required=True, help="fs:s=N or qt:t=N"),
+        _HOST,
+    )),
+    "lemmas": _Command(_cmd_lemmas, "structural lemma checks on a host", ("json", "text"), ("budget",), (
+        _arg("--check", required=True, choices=("l33", "l53", "l34", "l54"), help="l33/l53: hub-and-side structure report; l34/l54: clique closure"),
+        _HOST,
+        _arg("--A", required=True, help="comma-separated hub vertex indices"),
+        _arg("--B", default=None, help="comma-separated side vertices (default: common neighborhood of A)"),
+        _arg("--param", type=int, default=None, help="s or t for closure checks (default: |A|)"),
+    )),
+    "search": _Command(_cmd_search, "exhaustive extremal search at one n", ("json", "csv", "text"), ("budget", "workers"), (
+        _arg("--constraint", required=True, help="e.g. fs-minor-free:s=1 (the -free infix may be omitted)"),
+        _arg("--n", type=int, required=True),
+    )),
+    "verify": _Command(_cmd_verify, "per-n searches with predicted-graph sanity checks", ("json", "csv", "text"), ("budget", "workers"), (
+        _arg("--mode", required=True, help="fs:s=N, qt:t=N, or qt-subgraph:t=N"),
+        _arg("--n-from", type=int, required=True),
+        _arg("--n-to", type=int, required=True),
+    )),
+    "audit": _Command(_cmd_audit, "edge counts of constructions vs closed-form bounds", ("json", "text"), (), (
+        _arg("--family", action="append", required=True, help="family spec, repeatable"),
+        _arg("--mode", choices=("fs", "qt"), default="fs"),
+        _arg("--param", type=int, default=None, help="s or t for the bound checks (default: from the first spec)"),
+        _arg("--c-constant", type=float, default=None, help="C for the bipartite C*a + param*n slack check"),
+    )),
 }
 
 
+def _build_parser() -> _Parser:
+    top = _Parser(prog="speclab", description=__doc__)
+    sub = top.add_subparsers(dest="command", metavar="command")
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
+        for arg in cmd.arguments:
+            if isinstance(arg, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for names, options in arg:
+                    group.add_argument(*names, **options)
+            else:
+                p.add_argument(*arg[0], **arg[1])
+        for flag in cmd.flags:
+            kind, _, _, text = _SHARED[flag]
+            p.add_argument("--" + flag.replace("_", "-"), type=kind, default=None, help=text)
+        p.add_argument("--format", choices=cmd.formats, default="json", help="output format")
+    return top
+
+
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command is None:
             raise _UsageError("a subcommand is required")
-        config = _config_from(args)
-        return _HANDLERS[args.command](args, config)
-    except _UsageError as exc:
-        sys.stderr.write(f"speclab: {exc}\n")
-        return EXIT_USAGE
+        _resolve(args)
+        code, outputs = _COMMANDS[args.command].handler(args)
     except ConvergenceFailure as exc:
         sys.stderr.write(f"speclab: {exc}\n")
         return EXIT_EXHAUSTED
-    except (InvalidSpec, MalformedGraph6) as exc:
-        sys.stderr.write(f"speclab: {exc}\n")
-        return EXIT_USAGE
-    except (SpeclabError, ValueError) as exc:
+    except (_UsageError, SpeclabError, ValueError) as exc:
         sys.stderr.write(f"speclab: {exc}\n")
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    if outputs is not None:
+        for line in outputs[args.format]:
+            sys.stdout.write(line if line.endswith("\n") else f"{line}\n")
+    return code
 
 
 def main() -> None:

@@ -51,10 +51,6 @@ from .graph import (
     reachable_mask,
 )
 
-_CACHE_MAX = 8
-_LEVEL_CACHE: dict[int, list[tuple[int, ...]]] = {1: [(0,)]}
-
-
 def _wl(rows, n):
     """Stable refinement colors, identical across isomorphic graphs."""
     colors = [rows[v].bit_count() for v in range(n)]
@@ -214,14 +210,12 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield child
 
 
-def _iter_level(m: int):
-    if m in _LEVEL_CACHE:
-        return iter(_LEVEL_CACHE[m])
-    if m <= _CACHE_MAX:
-        level = [c for p in _iter_level(m - 1) for c in _children(p)]
-        _LEVEL_CACHE[m] = level
-        return iter(level)
-    return (c for p in _iter_level(m - 1) for c in _children(p))
+def _iter_level(m: int) -> Iterator[tuple[int, ...]]:
+    if m == 1:
+        yield (0,)
+        return
+    for parent in _iter_level(m - 1):
+        yield from _children(parent)
 
 
 def enumerate_connected(n: int) -> Iterator[Graph]:

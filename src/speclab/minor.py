@@ -283,16 +283,18 @@ def _fs_seed_filter(k, v, seeds):
     return v > seeds[k - 1]
 
 
+def _hub_minor(host, spec, node_budget, seed_filter) -> MinorAnswer:
+    # the constructed labels put the hub first and each arm contiguously,
+    # the positions the seed filters assume
+    pattern, _ = construct(spec)
+    return _run_search(host, pattern, node_budget, tuple(range(pattern.n)), seed_filter)
+
+
 def has_fs_minor(host: Graph, s: int, node_budget: int = DEFAULT_NODE_BUDGET) -> MinorAnswer:
     """Search for a minor made of s triangles sharing one hub vertex."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    pattern, _ = construct(FamilySpec("friendship", s=s))
-    if pattern.n > MAX_PATTERN_VERTICES:
-        raise PatternTooLarge(f"friendship pattern with s={s} exceeds the size limit")
-    return _run_search(
-        host, pattern, node_budget, order=tuple(range(pattern.n)), seed_filter=_fs_seed_filter
-    )
+    return _hub_minor(host, FamilySpec("friendship", s=s), node_budget, _fs_seed_filter)
 
 
 def _qt_seed_filter(k, v, seeds):
@@ -312,12 +314,7 @@ def has_qt_minor(host: Graph, t: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
     """Search for a minor made of t quadrilaterals sharing one hub vertex."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    pattern, _ = construct(FamilySpec("intersecting-c4", t=t))
-    if pattern.n > MAX_PATTERN_VERTICES:
-        raise PatternTooLarge(f"pattern with t={t} exceeds the size limit")
-    return _run_search(
-        host, pattern, node_budget, order=tuple(range(pattern.n)), seed_filter=_qt_seed_filter
-    )
+    return _hub_minor(host, FamilySpec("intersecting-c4", t=t), node_budget, _qt_seed_filter)
 
 
 @dataclass(frozen=True)

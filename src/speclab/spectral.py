@@ -104,6 +104,8 @@ def spectral_radius(g: Graph, tol: float = 1e-10, max_iter: int = 100000) -> Spe
         raise EmptyGraph("spectral radius of the empty graph is undefined")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     a = adjacency_matrix(g)
     best = None
     for mask in component_masks(g):

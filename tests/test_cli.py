@@ -1,6 +1,8 @@
 import io
 import json
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -331,3 +333,158 @@ class TestSubprocess:
         )
         assert p2.returncode == 0
         assert json.loads(p2.stdout)["status"] == "not_found"
+
+
+def _mask_elapsed(out):
+    # the csv elapsed column is the only field that varies between runs
+    return re.sub(r",[0-9.e-]+\r\n", ",E\r\n", out)
+
+
+K210 = "K]rEEB?oE?W?"
+_CSV_HEAD = "n,constraint,enumerated,feasible,best_rho,maximizers,predicted_g6,match,exhausted_count,elapsed\r\n"
+
+# stdout of every non-json format, one case per (command, format) and a
+# few variants; json is pinned by the goldens above
+FORMAT_MATRIX = [
+    (["construct", "friendship:s=2", "--format", "g6"], "D{c\n"),
+    (["construct", "friendship:s=2", "--format", "g6", "--layout"], 'D{c\n{"center": [0], "B": [1, 2, 3, 4]}\n'),
+    (["construct", "friendship:s=2", "--format", "text"], "friendship:s=2: n=5 edges=6 g6=D{c\n"),
+    (
+        ["construct", "friendship:s=2", "--format", "text", "--layout"],
+        'friendship:s=2: n=5 edges=6 g6=D{c\n{"center": [0], "B": [1, 2, 3, 4]}\n',
+    ),
+    (["rho", "--g6", "Bw", "--format", "text"], "rho = 2.0 (iterations=1, residual=0.000e+00)\n"),
+    (
+        ["rho", "--family", "complete-bipartite:a=2,b=9", "--closed-form", "--format", "text"],
+        "rho = 4.242640687119286 (iterations=52, residual=6.964e-11) closed_form=4.242640687119285 delta=8.882e-16\n",
+    ),
+    (["minor", "--pattern", "fs:s=2", "--host", "F?B~w", "--format", "text"], "status=not_found nodes=4065\n"),
+    (["subgraph", "--pattern", "qt:t=1", "--host", "Cl", "--format", "text"], "status=found\n"),
+    (["subgraph", "--pattern", "fs:s=1", "--host", "F?B~w", "--format", "text"], "status=found\n"),
+    (
+        ["lemmas", "--check", "l33", "--host", "F?B~w", "--A", "5,6", "--format", "text"],
+        "mode=fs bipartite_complete=True b_path_free=True |D|=5 threshold=3.000 meets=True\n",
+    ),
+    (
+        ["lemmas", "--check", "l34", "--host", K210, "--A", "0,1", "--format", "text"],
+        "base=not_found closed=not_found ok=True\n",
+    ),
+    (
+        ["search", "--constraint", "qt-minor:t=1", "--n", "6", "--workers", "1", "--format", "text"],
+        "n=6 qt-minor-free:t=1: enumerated=112 feasible=16 best_rho=2.7092753594369228 match=True exhausted=0\n",
+    ),
+    (
+        ["search", "--constraint", "qt-minor:t=1", "--n", "6", "--workers", "1", "--format", "csv"],
+        _CSV_HEAD + "6,qt-minor-free:t=1,112,16,2.7092753594369228,E@Rw,E@Rw,True,0,E\r\n",
+    ),
+    (
+        ["verify", "--mode", "fs:s=1", "--n-from", "4", "--n-to", "6", "--workers", "1", "--format", "text"],
+        "n=4 match=True best_rho=1.7320508075688772 maximizers=1\n"
+        "n=5 match=True best_rho=1.9999999999999996 maximizers=1\n"
+        "n=6 match=True best_rho=2.23606797749979 maximizers=1\n",
+    ),
+    (
+        ["verify", "--mode", "fs:s=1", "--n-from", "4", "--n-to", "6", "--workers", "1", "--format", "csv"],
+        _CSV_HEAD
+        + "4,fs-minor-free:s=1,6,2,1.7320508075688772,CF,CF,True,0,E\r\n"
+        + "5,fs-minor-free:s=1,21,3,1.9999999999999996,D?{,D?{,True,0,E\r\n"
+        + "6,fs-minor-free:s=1,112,6,2.23606797749979,E?Bw,E?Bw,True,0,E\r\n",
+    ),
+    (
+        [
+            "audit",
+            "--family", "efgg:s=3,n=450",
+            "--family", "complete-bipartite:a=5,b=20",
+            "--c-constant", "5.0",
+            "--format", "text",
+        ],
+        "efgg:s=3,n=450: edges=50631 expected=50631 ok=True\n"
+        "complete-bipartite:a=5,b=20: edges=100 expected=100 ok=True\n",
+    ),
+]
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("argv,expected", FORMAT_MATRIX, ids=[" ".join(argv) for argv, _ in FORMAT_MATRIX])
+    def test_format_stdout(self, capsys, argv, expected):
+        code, out, _ = invoke(capsys, argv)
+        assert code == 0
+        assert _mask_elapsed(out) == expected
+
+    def test_unsupported_format_rejected_before_work(self, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("search ran for a format it cannot write")
+
+        monkeypatch.setattr("speclab.cli.extremal_search", must_not_run)
+        code, out, err = invoke(
+            capsys, ["search", "--constraint", "fs-minor:s=1", "--n", "8", "--format", "g6"]
+        )
+        assert code == 1
+        assert out == "" and "--format" in err
+
+    def test_usage_checked_before_budget(self, capsys):
+        # the budget would run out first; the bad format is still exit 1
+        argv = ["lemmas", "--check", "l34", "--host", K210, "--A", "0,1", "--budget", "2", "--format", "csv"]
+        assert invoke(capsys, argv)[0] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "friendship:s=2", "--budget", "5"],
+            ["search", "--constraint", "fs-minor:s=1", "--n", "5", "--tolerance", "1e-3"],
+            ["verify", "--mode", "fs:s=1", "--n-from", "4", "--n-to", "5", "--max-iter", "10"],
+            ["rho", "--g6", "Bw", "--workers", "2"],
+            ["audit", "--family", "complete:n=4", "--budget", "5"],
+        ],
+    )
+    def test_unread_shared_flag_is_usage_error(self, capsys, argv):
+        code, out, _ = invoke(capsys, argv)
+        assert code == 1
+        assert out == ""
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_max_iter_below_one_is_usage_error(self, capsys, value):
+        code, _, err = invoke(capsys, ["rho", "--g6", "Bw", "--max-iter", value])
+        assert code == 1
+        assert "max_iter" in err
+
+    def test_env_read_only_by_commands_taking_the_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("SPECLAB_TOLERANCE", "abc")
+        monkeypatch.setenv("SPECLAB_WORKERS", "x")
+        code, out, _ = invoke(capsys, ["construct", "friendship:s=2", "--format", "g6"])
+        assert (code, out) == (0, "D{c\n")
+        assert invoke(capsys, ["rho", "--g6", "Bw"])[0] == 1
+
+    @pytest.mark.parametrize("flag", [["--workers", "4096"], ["--workers", "0"], []])
+    def test_workers_capped_at_cores(self, capsys, monkeypatch, flag):
+        import speclab.cli
+
+        real = speclab.cli.extremal_search
+        seen = []
+
+        def record(n, constraint, node_budget, workers):
+            seen.append(workers)
+            return real(n, constraint, node_budget=node_budget, workers=1)
+
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr("speclab.cli.extremal_search", record)
+        monkeypatch.delenv("SPECLAB_WORKERS", raising=False)
+        code, _, _ = invoke(capsys, ["search", "--constraint", "fs-minor:s=1", "--n", "5", *flag])
+        assert code == 0
+        assert seen == [2]
+
+    def test_readme_examples_exit_zero(self, capsys, monkeypatch):
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```")[1]
+        lines = [line for line in block.splitlines() if "speclab " in line]
+        assert len(lines) >= 10
+        monkeypatch.setenv("SPECLAB_WORKERS", "1")
+        for line in lines:
+            stdin = None
+            if "|" in line:
+                feed, line = line.split("|")
+                stdin = shlex.split(feed)[1] + "\n"
+            argv = shlex.split(line)
+            assert argv[0] == "speclab"
+            code, _, err = invoke(capsys, argv[1:], stdin=stdin, monkeypatch=monkeypatch)
+            assert code == 0, (line, err)

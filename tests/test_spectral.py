@@ -127,6 +127,12 @@ class TestPowerIteration:
         assert exc.value.iterations == 1
         assert exc.value.residual > 0
 
+    def test_max_iter_must_be_positive(self):
+        # zero iterations is a bad argument, not a search that gave up
+        for max_iter in (0, -5):
+            with pytest.raises(ValueError, match="max_iter must be >= 1"):
+                spectral_radius(Graph.empty(1), max_iter=max_iter)
+
 
 class TestClosedForms:
     def test_simple_kinds(self):
