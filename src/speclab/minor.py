@@ -21,6 +21,32 @@ while growing the state.  Induction on the slack sum |M_i| - |B_i| does
 the rest.  Budgets cap the node count, with "exhausted" as an explicit
 third answer.
 
+Two exact reductions run before the search.
+
+Cycle rank: r(G) = m - n + c, with c the number of components, never
+grows under taking minors, so a host with r(H) < r(P) is answered
+not_found at once.  Deleting an edge lowers m by one and raises c by at
+most one.  Deleting a vertex of degree d lowers m by d and n by one and
+changes c by at most d - 1 (by -1 when d = 0), so r does not grow.
+Contracting an edge u-v in a simple graph merges u and v, keeps c,
+lowers n by one and lowers m by one plus the number of common
+neighbours of u and v, so r does not grow either.  F_s has rank s and
+Q_t has rank t.
+
+Kernel peel: when every pattern vertex has degree >= 2, a host vertex v
+of degree <= 1 can be deleted.  Take any model M of P in H.  If v lies
+in no branch set, M is a model in H - v.  If v lies in M_i with
+|M_i| >= 2, connectivity of M_i gives v a neighbour inside M_i, which is
+then its only neighbour: v is a leaf of H[M_i], so M_i - v stays
+connected, and no edge from v reaches another branch set, so every
+pattern edge keeps its host edge.  If M_i = {v}, pattern vertex i has
+at least two neighbours, each needing a host edge from v into a
+different branch set, which a vertex of degree <= 1 does not have.  So
+H has a P-model iff H - v has one, and repeating the deletion gives the
+kernel.  The engine receives the deleted vertices as already used, so
+seeds and paths never touch them, and branch sets keep the host's own
+labels; verify_model still checks every model on the whole host.
+
 The hub-and-arms searches (friendship and intersecting-quadrilateral
 patterns) add seed-order symmetry cuts: the two ends of an arm are
 interchangeable, as are whole arms, so seeds are forced ascending.
@@ -29,6 +55,7 @@ interchangeable, as are whole arms, so seeds are forced ascending.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     BudgetExhausted,
@@ -39,7 +66,14 @@ from .errors import (
     VerificationFailed,
 )
 from .families import FamilySpec, construct
-from .graph import Graph, g6_decode, g6_encode, iter_bits, reachable_mask
+from .graph import (
+    Graph,
+    component_masks,
+    g6_decode,
+    g6_encode,
+    iter_bits,
+    reachable_mask,
+)
 from .matching import max_matching
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -130,7 +164,7 @@ class _Budget(Exception):
 class _Engine:
     """Branch-set search for one (host, pattern) pair; single use."""
 
-    def __init__(self, host, pattern, order, budget, seed_filter=None):
+    def __init__(self, host, pattern, order, budget, seed_filter=None, blocked=0):
         self.host = host
         self.pattern = pattern
         self.order = order
@@ -147,7 +181,7 @@ class _Engine:
         self.sets: list[int] = []
         self.nbrs: list[int] = []  # union of host rows over each set
         self.seeds: list[int] = []
-        self.used = 0
+        self.used = blocked  # host vertices no branch set may take
 
     def _first_unmet(self):
         k = len(self.sets)
@@ -250,6 +284,26 @@ class _Engine:
         return MinorAnswer(FOUND, model, self.nodes)
 
 
+def _cycle_rank(g: Graph) -> int:
+    return g.edge_count - g.n + len(component_masks(g))
+
+
+def _peel(g: Graph) -> int:
+    """Mask of the vertices that repeatedly deleting degree <= 1 removes."""
+    rows = g.rows
+    gone = 0
+    while True:
+        # deleting one low vertex only lowers the others' degrees, so a
+        # whole round of them can go at once
+        low = 0
+        for v in range(g.n):
+            if not gone >> v & 1 and (rows[v] & ~gone).bit_count() <= 1:
+                low |= 1 << v
+        if not low:
+            return gone
+        gone |= low
+
+
 def _run_search(host, pattern, budget, order=None, seed_filter=None) -> MinorAnswer:
     if pattern.n > MAX_PATTERN_VERTICES:
         raise PatternTooLarge(
@@ -259,11 +313,16 @@ def _run_search(host, pattern, budget, order=None, seed_filter=None) -> MinorAns
         return MinorAnswer(FOUND, MinorModel(host.n, pattern, ()), 0)
     if pattern.n > host.n or pattern.edge_count > host.edge_count:
         return MinorAnswer(NOT_FOUND, None, 0)
+    if _cycle_rank(host) < _cycle_rank(pattern):
+        return MinorAnswer(NOT_FOUND, None, 0)
+    blocked = 0
+    if min(row.bit_count() for row in pattern.rows) >= 2:
+        blocked = _peel(host)
     if order is None:
         order = tuple(
             sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
         )
-    return _Engine(host, pattern, order, budget, seed_filter).run()
+    return _Engine(host, pattern, order, budget, seed_filter, blocked).run()
 
 
 def find_minor_model(
@@ -283,10 +342,17 @@ def _fs_seed_filter(k, v, seeds):
     return v > seeds[k - 1]
 
 
-def _hub_minor(host, spec, node_budget, seed_filter) -> MinorAnswer:
-    # the constructed labels put the hub first and each arm contiguously,
-    # the positions the seed filters assume
+@lru_cache(maxsize=16)
+def _hub_pattern(spec: FamilySpec) -> Graph:
+    # built once per spec, since a search asks for it on every graph; the
+    # constructed labels put the hub first and each arm contiguously, the
+    # positions the seed filters assume
     pattern, _ = construct(spec)
+    return pattern
+
+
+def _hub_minor(host, spec, node_budget, seed_filter) -> MinorAnswer:
+    pattern = _hub_pattern(spec)
     return _run_search(host, pattern, node_budget, tuple(range(pattern.n)), seed_filter)
 
 
@@ -551,13 +617,16 @@ def clique_closure_check(
     """
     if mode not in ("fs", "qt"):
         raise ValueError("mode must be 'fs' or 'qt'")
+    members = list(A)
+    for v in members:  # before the base search, which can take the whole budget
+        g.check_vertex(v)
     run = has_fs_minor if mode == "fs" else has_qt_minor
     base = run(g, param, node_budget)
     if base.status == FOUND:
         raise PreconditionFailed("host already contains the forbidden minor")
     if base.status == EXHAUSTED:
         raise BudgetExhausted("budget too small to certify the host is minor-free")
-    closed = run(g.with_clique(A), param, node_budget)
+    closed = run(g.with_clique(members), param, node_budget)
     return ClosureReport(
         mode=mode,
         param=param,

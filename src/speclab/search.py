@@ -190,6 +190,10 @@ def extremal_search(
     if workers == 1:
         partials = [_scan(n, constraint, node_budget, 0, 1)]
     else:
+        # the workers compute radii; importing numpy once before the fork
+        # costs less than one import in every worker
+        import numpy  # noqa: F401
+
         ctx = multiprocessing.get_context("fork")
         jobs = [(n, constraint, node_budget, i, workers) for i in range(workers)]
         with ctx.Pool(workers) as pool:

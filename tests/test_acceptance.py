@@ -301,8 +301,9 @@ def pendant_tree_host(rng, side):
 def test_criterion_9_clique_closure(capsys):
     t0 = time.perf_counter()
     rng = random.Random(3454)
-    # absence proofs on the largest two-sided hosts need ~17M nodes, past
-    # the default budget
+    # with the kernel peel and the cycle-rank check the hardest absence
+    # proof here (F_2 on K_{2,10} plus one pendant) takes 371,237 nodes,
+    # under the default budget; this bound predates both rules and stays
     budget = 100_000_000
     bad = []
     for i in range(50):

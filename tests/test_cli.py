@@ -334,6 +334,21 @@ class TestSubprocess:
         assert p2.returncode == 0
         assert json.loads(p2.stdout)["status"] == "not_found"
 
+    def test_minor_queries_leave_numpy_unloaded(self):
+        # numpy is imported only where a spectral radius is computed
+        code = (
+            "import sys\n"
+            "import speclab.search, speclab.minor\n"
+            "from speclab.cli import run\n"
+            "assert run(['minor', '--pattern', 'fs:s=2', '--host', 'F?B~w']) == 0\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
 
 def _mask_elapsed(out):
     # the csv elapsed column is the only field that varies between runs

@@ -17,6 +17,9 @@ from speclab.minor import (
     FOUND,
     NOT_FOUND,
     MinorModel,
+    _Engine,
+    _fs_seed_filter,
+    _qt_seed_filter,
     check_structure_fs,
     check_structure_qt,
     clique_closure_check,
@@ -84,6 +87,27 @@ def longest_cycle(g):
 def friendship(s):
     g, _ = construct(FamilySpec("friendship", s=s))
     return g
+
+
+def quadrilaterals(t):
+    g, _ = construct(FamilySpec("intersecting-c4", t=t))
+    return g
+
+
+def path_graph(n):
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def with_pendants(g, k, rng):
+    """g plus k vertices, each hung on an earlier one, labels shuffled."""
+    edges = list(g.edges())
+    n = g.n
+    for _ in range(k):
+        edges.append((n, rng.randrange(n)))
+        n += 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, edges).relabel(perm)
 
 
 class TestVerifyModel:
@@ -244,6 +268,62 @@ class TestSpecializedSearches:
             has_fs_minor(complete(3), 6)
         with pytest.raises(PatternTooLarge):
             has_qt_minor(complete(3), 4)
+
+
+class TestKernelAndRank:
+    """The cycle-rank reject and the degree <= 1 peel against the bare engine."""
+
+    def test_differential_against_unpruned_engine(self):
+        rng = random.Random(988)
+        # (pruned entry point, pattern, search order, seed filter)
+        cases = [
+            (lambda g, s=s: has_fs_minor(g, s), friendship(s),
+             tuple(range(2 * s + 1)), _fs_seed_filter)
+            for s in (1, 2)
+        ] + [
+            (lambda g, t=t: has_qt_minor(g, t), quadrilaterals(t),
+             tuple(range(3 * t + 1)), _qt_seed_filter)
+            for t in (1, 2)
+        ]
+        # P_4 has leaves, so the peel must be skipped for it
+        for pat in (complete(4), cycle(5), complete_bipartite(2, 3), path_graph(4)):
+            order = tuple(sorted(range(pat.n), key=lambda v: (-pat.degree(v), v)))
+            cases.append((lambda g, pat=pat: find_minor_model(g, pat), pat, order, None))
+        pruned_nodes = ref_nodes = queries = 0
+        for _ in range(100):
+            base = random_graph(rng.randint(2, 9), rng.choice([0.2, 0.35, 0.5, 0.7]), rng)
+            g = with_pendants(base, rng.randint(0, 3), rng)
+            for run, pat, order, seed_filter in cases:
+                ans = run(g)
+                ref = _Engine(g, pat, order, 10**7, seed_filter).run()
+                assert ans.status == ref.status != EXHAUSTED, (g.rows, pat.rows)
+                if ans.status == FOUND:
+                    assert verify_model(g, ans.model)
+                else:
+                    # a pruned absence proof walks part of the reference tree
+                    assert ans.nodes_used <= ref.nodes_used
+                pruned_nodes += ans.nodes_used
+                ref_nodes += ref.nodes_used
+                queries += 1
+        assert queries == 800 and pruned_nodes < ref_nodes
+
+    def test_tree_host_rejected_by_rank(self):
+        rng = random.Random(989)
+        tree = with_pendants(Graph.empty(1), 11, rng)
+        for ans in (has_fs_minor(tree, 1), has_qt_minor(tree, 1),
+                    find_minor_model(tree, cycle(3))):
+            assert ans.status == NOT_FOUND and ans.nodes_used == 0
+
+    def test_pendants_cost_no_nodes(self):
+        bare = complete_bipartite(2, 10)
+        # a pendant on a hub and a three-vertex path hung on the other side
+        g = Graph.from_edges(
+            16, list(bare.edges()) + [(12, 0), (13, 5), (14, 13), (15, 14)]
+        )
+        want = has_fs_minor(bare, 2)
+        got = has_fs_minor(g, 2)
+        assert want.status == got.status == NOT_FOUND
+        assert got.nodes_used == want.nodes_used
 
 
 class TestCycleOracles:
@@ -416,6 +496,9 @@ class TestCliqueClosure:
             clique_closure_check(complete(5), {0, 1}, "fs", 2)
         with pytest.raises(BudgetExhausted):
             clique_closure_check(complete_bipartite(2, 10), {0, 1}, "fs", 2, node_budget=2)
+        # A is checked before the base search could use up the budget
+        with pytest.raises(IndexOutOfRange):
+            clique_closure_check(complete_bipartite(2, 10), {0, 99}, "fs", 2, node_budget=2)
         with pytest.raises(ValueError):
             clique_closure_check(complete(3), {0}, "zz", 1)
 
