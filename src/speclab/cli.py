@@ -292,13 +292,9 @@ def _cmd_verify(args):
         raise _UsageError("mode must be fs:s=N, qt:t=N, or qt-subgraph:t=N")
     mode = m.group(1).rsplit(":", 1)[0]
     param = int(m.group(2))
-    try:
-        reports = verify_theorem_small_n(
-            mode, param, (args.n_from, args.n_to), node_budget=args.budget, workers=args.workers
-        )
-    except VerificationFailed as exc:
-        sys.stderr.write(f"speclab: {exc}\n")
-        return EXIT_CLAIM, None
+    reports = verify_theorem_small_n(
+        mode, param, (args.n_from, args.n_to), node_budget=args.budget, workers=args.workers
+    )
     code = EXIT_EXHAUSTED if any(r.exhausted_count > 0 for r in reports) else EXIT_OK
     return code, {
         "json": [json.dumps([r.as_dict() for r in reports])],
@@ -426,6 +422,9 @@ def run(argv=None) -> int:
     except ConvergenceFailure as exc:
         sys.stderr.write(f"speclab: {exc}\n")
         return EXIT_EXHAUSTED
+    except VerificationFailed as exc:
+        sys.stderr.write(f"speclab: {exc}\n")
+        return EXIT_CLAIM
     except (_UsageError, SpeclabError, ValueError) as exc:
         sys.stderr.write(f"speclab: {exc}\n")
         return EXIT_USAGE

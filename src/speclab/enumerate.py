@@ -32,8 +32,30 @@ only one subset per Aut(P)-orbit is tested, which is sound because:
    and |Aut(P)| is the product of the G_i-orbit sizes of i.
 
 Refinement colors are assigned by sorted signature, so two isomorphic
-graphs get identical color vectors up to the isomorphism; color order
-refines degree order, which justifies the degree shortcuts.
+graphs get identical color vectors up to the isomorphism.  Most subsets
+are rejected before the child is built or fully refined, which changes
+no decision because:
+
+4. Each round ranks the signature (previous color, sorted neighbour
+   colors), so a color strictly smaller than another stays strictly
+   smaller in every later round: each round refines the last without
+   reordering it.  The first round is the degree, so color order refines
+   degree order.  Hence _accept may return False at the first round in
+   which m's color exceeds the minimum over the candidates, and the
+   stable colors, which it then needs, are those of the last round.
+5. A vertex w of P is non-cut in P+S iff every component of P-w meets
+   S minus w, and its degree there is deg_P(w) + [w in S].  By 4, m is
+   rejected when such a w has degree below |S|, and accepted without
+   refinement when all have larger degree; vertices of larger degree
+   never reach the minimum color, so only the ties go to _accept.  Since
+   deg_P(w) + [w in S] > |S| once deg_P(w) > |S|, a scan of P's vertices
+   by ascending degree stops there.
+6. A non-cut vertex w of P stays non-cut in P+S unless S = {w}, with
+   degree at most deg_P(w) + 1.  So with cap = 1 + the least degree of a
+   non-cut vertex of P, every S with |S| > cap (hence S != {w}) is
+   rejected by 5.  Automorphisms of P preserve |S|, so the cap skips
+   whole orbits; leaving them unmarked touches no mark of another orbit,
+   and 2 still tests the smallest member of every orbit it walks.
 """
 
 from __future__ import annotations
@@ -51,18 +73,19 @@ from .graph import (
     reachable_mask,
 )
 
-def _wl(rows, n):
-    """Stable refinement colors, identical across isomorphic graphs."""
-    colors = [rows[v].bit_count() for v in range(n)]
+def _wl_rounds(rows, n):
+    """Refinement colors round by round, starting from degrees; each round
+    refines the last (module docstring, 4), and the last is stable and
+    identical across isomorphic graphs."""
+    nbrs = [list(iter_bits(rows[v])) for v in range(n)]
+    colors = [len(nb) for nb in nbrs]
     while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in iter_bits(rows[v]))))
-            for v in range(n)
-        ]
+        yield colors
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in range(n)]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [rank[s] for s in sigs]
         if new == colors:
-            return colors
+            return
         colors = new
 
 
@@ -103,7 +126,7 @@ def _automorphism(rows, n, colors, src, dst, fixed=0):
 def _aut_generators(rows, n):
     """Generators of Aut: for each i, one automorphism fixing 0..i-1 and
     taking i to each v > i it can reach (stabiliser-chain transversals)."""
-    colors = _wl(rows, n)
+    *_, colors = _wl_rounds(rows, n)
     found = (_automorphism(rows, n, colors, i, v, i) for i in range(n) for v in range(i + 1, n))
     return [g for g in found if g is not None]
 
@@ -121,12 +144,16 @@ def _components_minus(rows, n, w):
 
 
 def _accept(child, n, w_set):
-    """Does the new vertex (index n-1) lie in the canonical deletion orbit?"""
+    """Does the new vertex (index n-1) lie in the canonical deletion orbit?
+
+    w_set is the new vertex and the non-cut vertices of its degree
+    (module docstring, 5).
+    """
     vnew = n - 1
-    colors = _wl(child, n)
-    cmin = min(colors[w] for w in w_set)
-    if colors[vnew] != cmin:
-        return False
+    for colors in _wl_rounds(child, n):
+        cmin = min(colors[w] for w in w_set)
+        if colors[vnew] != cmin:
+            return False
     w1 = [w for w in w_set if colors[w] == cmin]
     if len(w1) == 1:
         return True
@@ -170,6 +197,8 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     bit_new = 1 << m
     comps_per_w = [_components_minus(parent, m, w) for w in range(m)]
     pdeg = [parent[w].bit_count() for w in range(m)]
+    by_degree = sorted(range(m), key=pdeg.__getitem__)
+    cap = 1 + min(pdeg[w] for w in range(m) if len(comps_per_w[w]) <= 1)
     images = []  # images[k][s]: subset s moved by generator k
     for g in _aut_generators(parent, m):
         img = [0]
@@ -179,7 +208,8 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         images.append(img)
     marked = bytearray(1 << m)
     for subset in range(1, 1 << m):
-        if marked[subset]:
+        deg_new = subset.bit_count()
+        if deg_new > cap or marked[subset]:
             continue
         marked[subset] = 1
         todo = [subset]
@@ -190,23 +220,27 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
                 if not marked[t]:
                     marked[t] = 1
                     todo.append(t)
+        # m and the non-cut vertices of P+S of its degree; a non-cut vertex
+        # of smaller degree rejects the subset (module docstring, 5)
+        ties = [m]
+        for w in by_degree:
+            if pdeg[w] > deg_new:
+                break
+            d = pdeg[w] + ((subset >> w) & 1)
+            if d <= deg_new and all(c & subset & ~(1 << w) for c in comps_per_w[w]):
+                if d < deg_new:
+                    ties = None
+                    break
+                ties.append(w)
+        if ties is None:
+            continue
         child = list(parent)
         for i in iter_bits(subset):
             child[i] |= bit_new
         child.append(subset)
         child = tuple(child)
-        w_set = [
-            w
-            for w in range(m)
-            if all(c & subset & ~(1 << w) for c in comps_per_w[w])
-        ]
-        deg_new = subset.bit_count()
-        low = min(pdeg[w] + ((subset >> w) & 1) for w in w_set)
-        if deg_new > low:
-            continue
-        w_set.append(m)
         # strictly smallest degree is strictly smallest color
-        if deg_new < low or _accept(child, n, w_set):
+        if len(ties) == 1 or _accept(child, n, ties):
             yield child
 
 

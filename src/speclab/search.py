@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .enumerate import enumerate_connected, enumerate_connected_slice
 from .errors import VerificationFailed
 from .families import FamilySpec, construct, expected_edge_count
-from .graph import Graph, canonical_code
+from .graph import Graph, canonical_code, g6_decode
 from .minor import (
     DEFAULT_NODE_BUDGET,
     EXHAUSTED,
@@ -38,9 +38,13 @@ from .minor import (
     has_qt_minor,
     qt_subgraph_witness,
 )
-from .spectral import rho_closed_form, spectral_radius
+from .spectral import adjacency_matrix, rho_closed_form, spectral_radius
 
 TIE_TOLERANCE = 1e-9
+# graphs this close to the best radius are recomputed by a dense
+# eigensolver, which must agree with power iteration to RECHECK_TOLERANCE
+RECHECK_WINDOW = 1e-6
+RECHECK_TOLERANCE = 1e-8
 
 _CONSTRAINT_RE = re.compile(r"^(fs|qt)-(minor|subgraph)-free:([st])=(\d+)$")
 
@@ -159,14 +163,27 @@ def _scan(n, constraint, budget, part, parts):
         rho = spectral_radius(g).rho
         if best is None or rho > best:
             best = rho
-            keep = [kr for kr in keep if kr[0] >= best - TIE_TOLERANCE]
-        if rho >= best - TIE_TOLERANCE:
+            keep = [kr for kr in keep if kr[0] >= best - RECHECK_WINDOW]
+        if rho >= best - RECHECK_WINDOW:
             keep.append((rho, canonical_code(g).decode("ascii")))
     return enumerated, feasible, exhausted, best, keep
 
 
 def _scan_args(args):
     return _scan(*args)
+
+
+def _recheck_radii(entries):
+    """Recompute each (rho, g6) with numpy.linalg.eigvalsh; raise
+    VerificationFailed where it disagrees with power iteration."""
+    import numpy as np
+
+    for rho, g6 in entries:
+        dense = float(np.linalg.eigvalsh(adjacency_matrix(g6_decode(g6)))[-1])
+        if abs(dense - rho) > RECHECK_TOLERANCE:
+            raise VerificationFailed(
+                f"power iteration gives rho {rho!r} for {g6}, eigvalsh gives {dense!r}"
+            )
 
 
 def extremal_search(
@@ -178,7 +195,9 @@ def extremal_search(
     """Maximize rho over connected n-vertex graphs passing the constraint.
 
     Workers split the stream by final augmentation branch; the merge is
-    associative, so any worker count yields the identical report.  A
+    associative, so any worker count yields the identical report.  Every
+    graph within RECHECK_WINDOW of the best radius is recomputed by a
+    dense eigensolver, and a disagreement raises VerificationFailed.  A
     graph whose minor test hits the node budget is dropped from the
     feasible set and counted in exhausted_count, and any nonzero
     exhausted_count forces match to false: the maximizer set is then not
@@ -205,10 +224,9 @@ def extremal_search(
     best = max(bests) if bests else None
     maximizers: tuple[str, ...] = ()
     if best is not None:
-        pool_entries = [e for p in partials for e in p[4]]
-        maximizers = tuple(
-            sorted(g6 for rho, g6 in pool_entries if rho >= best - TIE_TOLERANCE)
-        )
+        near = [e for p in partials for e in p[4] if e[0] >= best - RECHECK_WINDOW]
+        _recheck_radii(near)
+        maximizers = tuple(sorted(g6 for rho, g6 in near if rho >= best - TIE_TOLERANCE))
     g_pred, _ = construct(predicted_spec(constraint, n))
     pred_g6 = canonical_code(g_pred).decode("ascii")
     match = exhausted == 0 and pred_g6 in maximizers

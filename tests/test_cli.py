@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import pathlib
@@ -176,6 +177,21 @@ class TestExitCodes:
         )
         assert code == 2
         assert json.loads(out)["b_path_free"] is False
+
+    def test_search_radius_disagreement_is_claim_failure(self, capsys, monkeypatch):
+        from speclab import search
+        from speclab.spectral import spectral_radius
+
+        def perturbed(g):
+            r = spectral_radius(g)
+            return dataclasses.replace(r, rho=r.rho + 1e-7)
+
+        monkeypatch.setattr(search, "spectral_radius", perturbed)
+        code, out, err = invoke(
+            capsys, ["search", "--constraint", "fs-minor:s=1", "--n", "5", "--workers", "1"]
+        )
+        assert (code, out) == (2, "")
+        assert "eigvalsh" in err
 
     def test_exhaustion_exit(self, capsys):
         k8 = g6_of(FamilySpec("complete", n=8))

@@ -5,11 +5,14 @@ import pytest
 
 from speclab.enumerate import (
     _aut_generators,
+    _automorphism,
+    _children,
+    _components_minus,
     enumerate_connected,
     enumerate_connected_slice,
 )
 from speclab.errors import SizeLimitExceeded
-from speclab.graph import Graph, canonical_code, is_connected
+from speclab.graph import Graph, canonical_code, canonical_perm, is_connected, iter_bits
 
 
 def labeled_connected_classes(n):
@@ -86,6 +89,16 @@ class TestEnumeration:
             rows = [g.rows for g in enumerate_connected(n)]
             assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
+    @pytest.mark.slow
+    def test_pinned_order_n9(self):
+        digest = hashlib.sha256()
+        count = 0
+        for g in enumerate_connected(9):
+            digest.update(repr(g.rows).encode())
+            count += 1
+        assert count == 261080
+        assert digest.hexdigest() == "ba35d95442f2486232416041203c3d40ba0dc226527219a906153a6a729bba56"
+
     @pytest.mark.parametrize("n", [6, 7])
     @pytest.mark.parametrize("parts", [2, 3])
     def test_slices_partition(self, n, parts):
@@ -147,3 +160,114 @@ class TestOrbitDedup:
                 for p in gens:
                     assert g.relabel(p) == g
                 assert len(group_closure(gens, n)) == brute_force_aut_count(g)
+
+
+def reference_wl(rows, n):
+    colors = [rows[v].bit_count() for v in range(n)]
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[u] for u in iter_bits(rows[v]))))
+            for v in range(n)
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [rank[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def reference_accept(child, n, w_set):
+    vnew = n - 1
+    colors = reference_wl(child, n)
+    cmin = min(colors[w] for w in w_set)
+    if colors[vnew] != cmin:
+        return False
+    w1 = [w for w in w_set if colors[w] == cmin]
+    if len(w1) == 1:
+        return True
+    root = {w: w for w in w1}
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for i in range(len(w1)):
+        for j in range(i + 1, len(w1)):
+            a, b = find(w1[i]), find(w1[j])
+            if a != b and _automorphism(child, n, colors, w1[i], w1[j]) is not None:
+                root[b] = a
+    orbits = {}
+    for w in w1:
+        orbits.setdefault(find(w), []).append(w)
+    if len(orbits) == 1:
+        return True
+    g = Graph(child)
+    codes = {r: canonical_code(g.delete_vertex(min(ws))) for r, ws in orbits.items()}
+    best = min(codes.values())
+    mine = find(vnew)
+    if codes[mine] != best:
+        return False
+    tied = [r for r, c in codes.items() if c == best]
+    if len(tied) == 1:
+        return True
+    perm = canonical_perm(g)
+    pool = [w for r in tied for w in orbits[r]]
+    d = min(pool, key=lambda w: perm[w])
+    return find(d) == mine
+
+
+def reference_children(parent):
+    """The sibling loop without early rejection: every subset, orbit
+    marking, the full non-cut set, then the degree test and a full
+    refinement."""
+    m = len(parent)
+    n = m + 1
+    bit_new = 1 << m
+    comps_per_w = [_components_minus(parent, m, w) for w in range(m)]
+    pdeg = [parent[w].bit_count() for w in range(m)]
+    images = []
+    for g in _aut_generators(parent, m):
+        img = [0]
+        for u in range(m):
+            bit = 1 << g[u]
+            img += [s | bit for s in img]
+        images.append(img)
+    marked = bytearray(1 << m)
+    for subset in range(1, 1 << m):
+        if marked[subset]:
+            continue
+        marked[subset] = 1
+        todo = [subset]
+        while todo:
+            s = todo.pop()
+            for img in images:
+                t = img[s]
+                if not marked[t]:
+                    marked[t] = 1
+                    todo.append(t)
+        child = list(parent)
+        for i in iter_bits(subset):
+            child[i] |= bit_new
+        child.append(subset)
+        child = tuple(child)
+        w_set = [
+            w
+            for w in range(m)
+            if all(c & subset & ~(1 << w) for c in comps_per_w[w])
+        ]
+        deg_new = subset.bit_count()
+        low = min(pdeg[w] + ((subset >> w) & 1) for w in w_set)
+        if deg_new > low:
+            continue
+        w_set.append(m)
+        if deg_new < low or reference_accept(child, n, w_set):
+            yield child
+
+
+class TestEarlyRejection:
+    def test_children_match_unpruned_sibling_loop(self):
+        for n in range(1, 7):
+            for g in enumerate_connected(n):
+                assert list(_children(g.rows)) == list(reference_children(g.rows)), g.rows

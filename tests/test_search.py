@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from speclab.errors import InvalidSpec, VerificationFailed
 from speclab.families import FamilySpec, construct
 from speclab.graph import Graph, canonical_code, g6_decode, is_connected
+from speclab import search
 from speclab.minor import NOT_FOUND, has_fs_minor, has_qt_minor
 from speclab.search import (
     SearchReport,
@@ -192,6 +194,15 @@ class TestExtremalSearch:
             assert par.to_json(include_elapsed=False) == serial.to_json(
                 include_elapsed=False
             )
+
+    def test_radius_disagreeing_with_eigvalsh_raises(self, monkeypatch):
+        def perturbed(g):
+            r = spectral_radius(g)
+            return dataclasses.replace(r, rho=r.rho + 1e-7)
+
+        monkeypatch.setattr(search, "spectral_radius", perturbed)
+        with pytest.raises(VerificationFailed, match="eigvalsh"):
+            extremal_search(6, "fs-minor-free:s=1")
 
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError):
