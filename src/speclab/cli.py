@@ -145,7 +145,7 @@ def _cmd_construct(args):
     out = {"spec": spec.text(), "n": g.n, "edges": g.edge_count, "g6": g6}
     layout_lines = []
     if args.layout:
-        out["layout"] = {name: sorted(vs) for name, vs in layout.regions.items()}
+        out["layout"] = layout.as_dict()
         layout_lines.append(json.dumps(out["layout"]))
     return EXIT_OK, {
         "g6": [g6, *layout_lines],

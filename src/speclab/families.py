@@ -27,23 +27,6 @@ from dataclasses import dataclass
 from .errors import InvalidSpec
 from .graph import Graph, join
 
-KINDS = (
-    "complete",
-    "independent",
-    "complete-bipartite",
-    "path",
-    "cycle",
-    "matching",
-    "friendship",
-    "intersecting-c4",
-    "ks-join-independent",
-    "kt-join-matching",
-    "efgg",
-    "hstar",
-    "zlx",
-    "near-regular",
-)
-
 # which parameters each kind takes, in canonical text order
 _PARAMS = {
     "complete": ("n",),
@@ -148,8 +131,6 @@ def parse_family_spec(text: str) -> FamilySpec:
                 kwargs[name] = int(val)
             except ValueError:
                 raise InvalidSpec(f"non-integer value in {item!r}") from None
-    if kind not in _PARAMS:
-        raise InvalidSpec(f"unknown family kind {kind!r}")
     return FamilySpec(kind, **kwargs)
 
 

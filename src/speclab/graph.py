@@ -58,13 +58,13 @@ class Graph:
             raise ValueError("adjacency rows are not symmetric")
         for u, r in enumerate(rows):
             # check only the v > u half; total parity plus this gives symmetry
-            m = r >> (u + 1)
-            v = u + 1
+            m = r >> (u + 1) << (u + 1)
             while m:
-                if m & 1 and not (rows[v] >> u) & 1:
+                low = m & -m
+                v = low.bit_length() - 1
+                if not (rows[v] >> u) & 1:
                     raise ValueError(f"edge {u}-{v} present in one direction only")
-                m >>= 1
-                v += 1
+                m ^= low
         self.n = n
         self.rows = rows
         self.edge_count = total // 2
@@ -108,13 +108,11 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
-            m = self.rows[u] >> (u + 1)
-            v = u + 1
+            m = self.rows[u] >> (u + 1) << (u + 1)
             while m:
-                if m & 1:
-                    yield (u, v)
-                m >>= 1
-                v += 1
+                low = m & -m
+                yield (u, low.bit_length() - 1)
+                m ^= low
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted((r.bit_count() for r in self.rows), reverse=True))

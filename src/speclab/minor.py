@@ -75,6 +75,7 @@ from .graph import (
     reachable_mask,
 )
 from .matching import max_matching
+from .record import Record
 
 DEFAULT_NODE_BUDGET = 10_000_000
 MAX_PATTERN_VERTICES = 12
@@ -107,17 +108,10 @@ class MinorModel:
 
 
 @dataclass(frozen=True)
-class MinorAnswer:
+class MinorAnswer(Record):
     status: str
     model: MinorModel | None
     nodes_used: int
-
-    def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "model": self.model.as_dict() if self.model else None,
-            "nodes_used": self.nodes_used,
-        }
 
 
 def verify_model(host: Graph, model: MinorModel) -> bool:
@@ -384,12 +378,9 @@ def has_qt_minor(host: Graph, t: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
 
 
 @dataclass(frozen=True)
-class FsWitness:
+class FsWitness(Record):
     center: int
     pairs: tuple[tuple[int, int], ...]
-
-    def as_dict(self) -> dict:
-        return {"center": self.center, "pairs": [list(p) for p in self.pairs]}
 
 
 def fs_subgraph_witness(g: Graph, s: int) -> FsWitness | None:
@@ -418,26 +409,16 @@ def fs_subgraph_witness(g: Graph, s: int) -> FsWitness | None:
 
 
 @dataclass(frozen=True)
-class QtWitness:
+class QtWitness(Record):
     center: int
     arms: tuple[tuple[int, int, int], ...]
 
-    def as_dict(self) -> dict:
-        return {"center": self.center, "arms": [list(a) for a in self.arms]}
-
 
 @dataclass(frozen=True)
-class WitnessAnswer:
+class WitnessAnswer(Record):
     status: str
     witness: QtWitness | None
     nodes_used: int
-
-    def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "witness": self.witness.as_dict() if self.witness else None,
-            "nodes_used": self.nodes_used,
-        }
 
 
 def qt_subgraph_witness(
@@ -500,7 +481,7 @@ def qt_subgraph_witness(
 
 
 @dataclass(frozen=True)
-class StructureReport:
+class StructureReport(Record):
     """Partition facts for a candidate hub set A and bipartite side B.
 
     R is everything outside A and B; D holds the members of B with no
@@ -520,21 +501,6 @@ class StructureReport:
     delta: float
     d_threshold: float
     d_meets_threshold: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "A": sorted(self.A),
-            "B": sorted(self.B),
-            "R": sorted(self.R),
-            "D": sorted(self.D),
-            "bipartite_complete": self.bipartite_complete,
-            "b_path_free": self.b_path_free,
-            "max_outside_b_neighbors": self.max_outside_b_neighbors,
-            "delta": self.delta,
-            "d_threshold": self.d_threshold,
-            "d_meets_threshold": self.d_meets_threshold,
-        }
 
 
 def _structure(g, A, B, mode, delta_mult):
@@ -587,21 +553,12 @@ def check_structure_qt(g: Graph, A, B) -> StructureReport:
 
 
 @dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(Record):
     mode: str
     param: int
     base: MinorAnswer
     closed: MinorAnswer
     ok: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "param": self.param,
-            "base": self.base.as_dict(),
-            "closed": self.closed.as_dict(),
-            "ok": self.ok,
-        }
 
 
 def clique_closure_check(

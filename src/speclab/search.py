@@ -22,7 +22,7 @@ import json
 import multiprocessing
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .enumerate import enumerate_connected, enumerate_connected_slice
 from .errors import VerificationFailed
@@ -38,6 +38,7 @@ from .minor import (
     has_qt_minor,
     qt_subgraph_witness,
 )
+from .record import Record
 from .spectral import adjacency_matrix, rho_closed_form, spectral_radius
 
 TIE_TOLERANCE = 1e-9
@@ -48,22 +49,9 @@ RECHECK_TOLERANCE = 1e-8
 
 _CONSTRAINT_RE = re.compile(r"^(fs|qt)-(minor|subgraph)-free:([st])=(\d+)$")
 
-_REPORT_FIELDS = (
-    "n",
-    "constraint",
-    "enumerated",
-    "feasible",
-    "best_rho",
-    "maximizers",
-    "predicted_g6",
-    "match",
-    "exhausted_count",
-    "elapsed",
-)
-
 
 @dataclass(frozen=True)
-class SearchReport:
+class SearchReport(Record):
     n: int
     constraint: str
     enumerated: int
@@ -76,19 +64,9 @@ class SearchReport:
     elapsed: float
 
     def as_dict(self, include_elapsed: bool = True) -> dict:
-        d = {
-            "n": self.n,
-            "constraint": self.constraint,
-            "enumerated": self.enumerated,
-            "feasible": self.feasible,
-            "best_rho": self.best_rho,
-            "maximizers": list(self.maximizers),
-            "predicted_g6": self.predicted_g6,
-            "match": self.match,
-            "exhausted_count": self.exhausted_count,
-        }
-        if include_elapsed:
-            d["elapsed"] = self.elapsed
+        d = super().as_dict()
+        if not include_elapsed:
+            del d["elapsed"]
         return d
 
     def to_json(self, include_elapsed: bool = True) -> str:
@@ -99,15 +77,15 @@ class SearchReport:
 
 def reports_to_csv(reports: list[SearchReport], include_elapsed: bool = True) -> str:
     out = io.StringIO()
-    fields = list(_REPORT_FIELDS)
+    names = [f.name for f in fields(SearchReport)]
     if not include_elapsed:
-        fields.remove("elapsed")
+        names.remove("elapsed")
     writer = csv.writer(out)
-    writer.writerow(fields)
+    writer.writerow(names)
     for r in reports:
         d = r.as_dict(include_elapsed)
         d["maximizers"] = ";".join(r.maximizers)
-        writer.writerow([d[f] for f in fields])
+        writer.writerow(d.values())
     return out.getvalue()
 
 
@@ -169,10 +147,6 @@ def _scan(n, constraint, budget, part, parts):
     return enumerated, feasible, exhausted, best, keep
 
 
-def _scan_args(args):
-    return _scan(*args)
-
-
 def _recheck_radii(entries):
     """Recompute each (rho, g6) with numpy.linalg.eigvalsh; raise
     VerificationFailed where it disagrees with power iteration."""
@@ -216,7 +190,7 @@ def extremal_search(
         ctx = multiprocessing.get_context("fork")
         jobs = [(n, constraint, node_budget, i, workers) for i in range(workers)]
         with ctx.Pool(workers) as pool:
-            partials = pool.map(_scan_args, jobs)
+            partials = pool.starmap(_scan, jobs)
     enumerated = sum(p[0] for p in partials)
     feasible = sum(p[1] for p in partials)
     exhausted = sum(p[2] for p in partials)

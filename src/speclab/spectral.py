@@ -30,45 +30,28 @@ from .errors import (
 )
 from .families import FamilySpec
 from .graph import Graph, component_masks, is_connected, iter_bits
+from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
 
 
 @dataclass(frozen=True)
-class SpectralResult:
+class SpectralResult(Record):
     rho: float
     vector: tuple[float, ...]
     residual: float
     iterations: int
 
-    def as_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "vector": list(self.vector),
-            "residual": self.residual,
-            "iterations": self.iterations,
-        }
-
 
 @dataclass(frozen=True)
-class PerronReport:
+class PerronReport(Record):
     rho: float
     bound: float
     min_entry: float
     min_vertex: int
     slack: float
     ok: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "bound": self.bound,
-            "min_entry": self.min_entry,
-            "min_vertex": self.min_vertex,
-            "slack": self.slack,
-            "ok": self.ok,
-        }
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:

@@ -86,6 +86,9 @@ class TestConstruction:
     def test_rejects_asymmetric_rows(self):
         with pytest.raises(ValueError):
             Graph([0b010, 0b000, 0b000])
+        # an even bit count passes the parity check; only the pairwise walk sees it
+        with pytest.raises(ValueError, match="one direction only"):
+            Graph([0b110, 0b000, 0b000])
 
     def test_rejects_loop(self):
         with pytest.raises(ValueError):
