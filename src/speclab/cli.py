@@ -25,7 +25,6 @@ from typing import Callable
 from .errors import (
     BudgetExhausted,
     ConvergenceFailure,
-    PreconditionFailed,
     SpeclabError,
     VerificationFailed,
 )
@@ -96,8 +95,8 @@ def _resolve(args) -> None:
         if getattr(args, name) is None:
             kind, env, default, _ = _SHARED[name]
             setattr(args, name, _env(env, kind, default))
-    if "tolerance" in flags and args.tolerance <= 0:
-        raise _UsageError("tolerance must be > 0")
+    if "tolerance" in flags and not 0 < args.tolerance < float("inf"):
+        raise _UsageError("tolerance must be > 0 and finite")
     if "budget" in flags and args.budget < 1:
         raise _UsageError("node budget must be >= 1")
     if "workers" in flags:
@@ -254,11 +253,7 @@ def _cmd_lemmas(args):
         }
     mode = "fs" if args.check == "l34" else "qt"
     param = args.param if args.param is not None else len(A)
-    try:
-        report = clique_closure_check(host, A, mode, param, node_budget=args.budget)
-    except PreconditionFailed as exc:
-        sys.stderr.write(f"speclab: {exc}\n")
-        return EXIT_EXHAUSTED if isinstance(exc, BudgetExhausted) else EXIT_USAGE, None
+    report = clique_closure_check(host, A, mode, param, node_budget=args.budget)
     if report.closed.status == EXHAUSTED:
         code = EXIT_EXHAUSTED
     else:
@@ -338,7 +333,7 @@ def _arg(*names, **options):
 
 @dataclass(frozen=True)
 class _Command:
-    handler: Callable  # args -> (exit code, {format: lines} or None once stderr is written)
+    handler: Callable  # args -> (exit code, {format: lines})
     help: str
     formats: tuple[str, ...]
     flags: tuple[str, ...]  # keys of _SHARED the handler reads
@@ -419,7 +414,7 @@ def run(argv=None) -> int:
             raise _UsageError("a subcommand is required")
         _resolve(args)
         code, outputs = _COMMANDS[args.command].handler(args)
-    except ConvergenceFailure as exc:
+    except (ConvergenceFailure, BudgetExhausted) as exc:
         sys.stderr.write(f"speclab: {exc}\n")
         return EXIT_EXHAUSTED
     except VerificationFailed as exc:
@@ -430,9 +425,8 @@ def run(argv=None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    if outputs is not None:
-        for line in outputs[args.format]:
-            sys.stdout.write(line if line.endswith("\n") else f"{line}\n")
+    for line in outputs[args.format]:
+        sys.stdout.write(line if line.endswith("\n") else f"{line}\n")
     return code
 
 

@@ -56,6 +56,16 @@ no decision because:
    rejected by 5.  Automorphisms of P preserve |S|, so the cap skips
    whole orbits; leaving them unmarked touches no mark of another orbit,
    and 2 still tests the smallest member of every orbit it walks.
+7. _accept decides the rule of the first paragraph while finding only
+   m's orbit O, by one _automorphism(m, w) query per tied vertex w.
+   Automorphisms keep degree, cut status and stable color, so all of O
+   lies in w_set with m's color, and the other tied vertices fall into
+   whole orbits.  Members of one orbit have isomorphic deletions, hence
+   one deletion code per orbit: O's code is the least iff no tied vertex
+   has a smaller one, and the vertices whose code equals m's are exactly
+   the orbits tied with O.  The canonical labeling places each vertex
+   at its own position, so the earliest of those vertices lies in O iff
+   O's earliest comes before every tied vertex outside O.
 """
 
 from __future__ import annotations
@@ -154,41 +164,28 @@ def _accept(child, n, w_set):
         cmin = min(colors[w] for w in w_set)
         if colors[vnew] != cmin:
             return False
-    w1 = [w for w in w_set if colors[w] == cmin]
-    if len(w1) == 1:
+    w1 = [w for w in w_set if w != vnew and colors[w] == cmin]
+    if not w1:
         return True
-    root = {w: w for w in w1}
-
-    def find(x):
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for i in range(len(w1)):
-        for j in range(i + 1, len(w1)):
-            a, b = find(w1[i]), find(w1[j])
-            if a != b and _automorphism(child, n, colors, w1[i], w1[j]) is not None:
-                root[b] = a
-    orbits: dict[int, list[int]] = {}
-    for w in w1:
-        orbits.setdefault(find(w), []).append(w)
-    if len(orbits) == 1:
+    # m's orbit and the other tied vertices (module docstring, 7)
+    orbit = [vnew] + [w for w in w1 if _automorphism(child, n, colors, vnew, w) is not None]
+    others = [w for w in w1 if w not in orbit]
+    if not others:
         return True
     g = Graph(child)
-    codes = {r: canonical_code(g.delete_vertex(min(ws))) for r, ws in orbits.items()}
-    best = min(codes.values())
-    mine = find(vnew)
-    if codes[mine] != best:
-        return False
-    tied = [r for r, c in codes.items() if c == best]
-    if len(tied) == 1:
+    mine = canonical_code(g.delete_vertex(vnew))
+    tied = []  # pseudo-similar to m: same deletion code, other orbit
+    for w in others:
+        code = canonical_code(g.delete_vertex(w))
+        if code < mine:
+            return False
+        if code == mine:
+            tied.append(w)
+    if not tied:
         return True
-    # pseudo-similar orbits: break the tie by canonical position
+    # break the tie by canonical position
     perm = canonical_perm(g)
-    pool = [w for r in tied for w in orbits[r]]
-    d = min(pool, key=lambda w: perm[w])
-    return find(d) == mine
+    return min(perm[w] for w in orbit) < min(perm[w] for w in tied)
 
 
 def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -199,13 +196,7 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     pdeg = [parent[w].bit_count() for w in range(m)]
     by_degree = sorted(range(m), key=pdeg.__getitem__)
     cap = 1 + min(pdeg[w] for w in range(m) if len(comps_per_w[w]) <= 1)
-    images = []  # images[k][s]: subset s moved by generator k
-    for g in _aut_generators(parent, m):
-        img = [0]
-        for u in range(m):
-            bit = 1 << g[u]
-            img += [s | bit for s in img]
-        images.append(img)
+    gens = [[1 << v for v in g] for g in _aut_generators(parent, m)]  # g[u]: bit of u's image
     marked = bytearray(1 << m)
     for subset in range(1, 1 << m):
         deg_new = subset.bit_count()
@@ -214,9 +205,11 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         marked[subset] = 1
         todo = [subset]
         while todo:
-            s = todo.pop()
-            for img in images:
-                t = img[s]
+            bits = list(iter_bits(todo.pop()))
+            for g in gens:
+                t = 0
+                for u in bits:
+                    t |= g[u]
                 if not marked[t]:
                     marked[t] = 1
                     todo.append(t)

@@ -127,6 +127,8 @@ def parse_family_spec(text: str) -> FamilySpec:
             name = name.strip()
             if not eq or name not in ("s", "t", "n", "a", "b"):
                 raise InvalidSpec(f"bad parameter {item!r} in {text!r}")
+            if name in kwargs:
+                raise InvalidSpec(f"repeated parameter {name!r} in {text!r}")
             try:
                 kwargs[name] = int(val)
             except ValueError:

@@ -179,7 +179,12 @@ def extremal_search(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     t0 = time.perf_counter()
+    # built first, so a join its spec rules out (s >= n) fails before the scan
+    g_pred, _ = construct(predicted_spec(constraint, n))
+    pred_g6 = canonical_code(g_pred).decode("ascii")
     if workers == 1:
         partials = [_scan(n, constraint, node_budget, 0, 1)]
     else:
@@ -201,8 +206,6 @@ def extremal_search(
         near = [e for p in partials for e in p[4] if e[0] >= best - RECHECK_WINDOW]
         _recheck_radii(near)
         maximizers = tuple(sorted(g6 for rho, g6 in near if rho >= best - TIE_TOLERANCE))
-    g_pred, _ = construct(predicted_spec(constraint, n))
-    pred_g6 = canonical_code(g_pred).decode("ascii")
     match = exhausted == 0 and pred_g6 in maximizers
     return SearchReport(
         n=n,

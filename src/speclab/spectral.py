@@ -95,8 +95,8 @@ def spectral_radius(g: Graph, tol: float = 1e-10, max_iter: int = 100000) -> Spe
     """
     if g.n == 0:
         raise EmptyGraph("spectral radius of the empty graph is undefined")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < float("inf"):
+        raise ValueError("tol must be positive and finite")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     import numpy as np

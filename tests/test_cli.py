@@ -235,9 +235,13 @@ class TestConfigPrecedence:
         assert code == 1
         assert "SPECLAB_TOLERANCE" in err
 
-    def test_bad_tolerance_value(self, capsys):
-        code, _, _ = invoke(capsys, ["rho", "--g6", "Bw", "--tolerance", "-1"])
-        assert code == 1
+    def test_bad_tolerance_value(self, capsys, monkeypatch):
+        for value in ["-1", "inf", "nan"]:
+            code, _, err = invoke(capsys, ["rho", "--family", "path:n=5", "--tolerance", value])
+            assert (code, err) == (1, "speclab: tolerance must be > 0 and finite\n")
+            monkeypatch.setenv("SPECLAB_TOLERANCE", value)
+            assert invoke(capsys, ["rho", "--family", "path:n=5"])[0] == 1
+            monkeypatch.delenv("SPECLAB_TOLERANCE")
 
 
 class TestPiping:

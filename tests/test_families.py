@@ -70,6 +70,7 @@ class TestSpec:
             "friendship:x=3",
             "friendship:s=two",
             "friendship:s=3,n=9",
+            "friendship:s=1,s=2",
             "cycle:n=2",
             "complete-bipartite:a=0,b=4",
             "ks-join-independent:s=5,n=5",

@@ -208,6 +208,17 @@ class TestExtremalSearch:
         with pytest.raises(ValueError):
             extremal_search(5, "fs-minor-free:s=1", workers=0)
 
+    def test_bad_predicted_join_fails_before_the_scan(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("enumerated before the predicted join was built")
+
+        monkeypatch.setattr(search, "enumerate_connected_slice", no_scan)
+        for workers in (1, 2):
+            with pytest.raises(InvalidSpec, match="1 <= s < n"):
+                extremal_search(8, "fs-subgraph-free:s=8", workers=workers)
+        with pytest.raises(ValueError):
+            extremal_search(0, "fs-minor-free:s=1")
+
 
 class TestVerifyTheorem:
     def test_star_matches_for_all_small_n(self):

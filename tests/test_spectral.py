@@ -119,8 +119,9 @@ class TestPowerIteration:
     def test_failures(self):
         with pytest.raises(EmptyGraph):
             spectral_radius(Graph.empty(0))
-        with pytest.raises(ValueError):
-            spectral_radius(Graph.empty(1), tol=0.0)
+        for tol in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                spectral_radius(Graph.empty(1), tol=tol)
         star = Graph.from_edges(3, [(0, 1), (0, 2)])
         with pytest.raises(ConvergenceFailure) as exc:
             spectral_radius(star, max_iter=1)
