@@ -12,6 +12,24 @@ family closed under vertex deletion can be taken connected (the radius
 of a graph is the max over its components, and the winning component is
 itself a member), so disconnected hosts never beat the connected best.
 This is cross-checked against an all-graphs scan at n <= 6 in the tests.
+
+Each graph's parent P = G - (n-1) is tested once, and every child of a
+parent found to contain the pattern is counted as containing it without
+a test of its own.  Soundness: P is an induced subgraph of G with the
+same labels.  A minor model of the pattern in P is a family of disjoint
+connected branch sets in P with a P-edge behind every pattern edge;
+adding a vertex and its edges deletes no vertex or edge, so the same
+sets are disjoint, connected and joined by the same edges in G, and
+verify_model accepts them there.  A subgraph witness is a set of P-edges
+and stays one in G.  So found in P implies found in G for all four
+constraints.  The argument deletes an arbitrary vertex, so it does not
+rest on how the enumeration builds G from P; that P is the parent only
+makes consecutive siblings share one test.  A not_found parent says
+nothing about its children, and an exhausted one settles nothing, so
+their children are tested as before.  Feasible sets, radii and
+maximizers are therefore unchanged; exhausted_count can only fall, and
+only for a graph whose own test would run out of budget while its
+parent has a certified model.
 """
 
 from __future__ import annotations
@@ -129,8 +147,18 @@ def _scan(n, constraint, budget, part, parts):
     exhausted = 0
     best = None
     keep: list[tuple[float, str]] = []
+    low = (1 << (n - 1)) - 1
+    # the last parent tested; the stream yields siblings consecutively.
+    # At n = 1 the parent is the empty graph, which holds no pattern.
+    parent, parent_status = (), NOT_FOUND
     for g in enumerate_connected_slice(n, part, parts):
         enumerated += 1
+        rows = tuple(r & low for r in g.rows[:-1])
+        if rows != parent:
+            parent = rows
+            parent_status = _test_graph(Graph(rows), family, relation, param, budget)
+        if parent_status == FOUND:
+            continue  # the parent's model is a model in g (module docstring)
         status = _test_graph(g, family, relation, param, budget)
         if status == EXHAUSTED:
             exhausted += 1
@@ -172,7 +200,9 @@ def extremal_search(
     associative, so any worker count yields the identical report.  Every
     graph within RECHECK_WINDOW of the best radius is recomputed by a
     dense eigensolver, and a disagreement raises VerificationFailed.  A
-    graph whose minor test hits the node budget is dropped from the
+    graph is exhausted when its own test hits the node budget and its
+    parent has no certified model (a parent's model already settles the
+    graph; module docstring).  Exhausted graphs are dropped from the
     feasible set and counted in exhausted_count, and any nonzero
     exhausted_count forces match to false: the maximizer set is then not
     certified complete.

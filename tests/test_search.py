@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -8,7 +9,15 @@ from speclab.errors import InvalidSpec, VerificationFailed
 from speclab.families import FamilySpec, construct
 from speclab.graph import Graph, canonical_code, g6_decode, is_connected
 from speclab import search
-from speclab.minor import NOT_FOUND, has_fs_minor, has_qt_minor
+from speclab.enumerate import enumerate_connected
+from speclab.minor import (
+    DEFAULT_NODE_BUDGET,
+    EXHAUSTED,
+    FOUND,
+    NOT_FOUND,
+    has_fs_minor,
+    has_qt_minor,
+)
 from speclab.search import (
     SearchReport,
     edge_bound_audit,
@@ -62,6 +71,73 @@ def all_classes(n):
     return list(codes.values())
 
 
+@functools.lru_cache(maxsize=None)
+def connected(n):
+    return tuple(enumerate_connected(n))
+
+
+def reference_search(n, constraint, budget):
+    """Statuses by rows and the report of a scan that tests every graph."""
+    family, relation, param = parse_constraint(constraint)
+    statuses = {
+        g.rows: search._test_graph(g, family, relation, param, budget)
+        for g in connected(n)
+    }
+    rhos = {
+        rows: spectral_radius(Graph(rows)).rho
+        for rows, status in statuses.items()
+        if status == NOT_FOUND
+    }
+    best = max(rhos.values(), default=None)
+    maximizers = ()
+    if best is not None:
+        maximizers = tuple(
+            sorted(
+                canonical_code(Graph(rows)).decode("ascii")
+                for rows, rho in rhos.items()
+                if rho >= best - search.TIE_TOLERANCE
+            )
+        )
+    pred, _ = construct(predicted_spec(constraint, n))
+    pred_g6 = canonical_code(pred).decode("ascii")
+    exhausted = sum(status == EXHAUSTED for status in statuses.values())
+    report = SearchReport(
+        n=n,
+        constraint=constraint,
+        enumerated=len(statuses),
+        feasible=len(rhos),
+        best_rho=best,
+        maximizers=maximizers,
+        predicted_g6=pred_g6,
+        match=exhausted == 0 and pred_g6 in maximizers,
+        exhausted_count=exhausted,
+        elapsed=0.0,
+    )
+    return statuses, report
+
+
+def record_tests(monkeypatch):
+    """Rows of every graph search._test_graph is called on, in call order."""
+    calls = []
+    real = search._test_graph
+
+    def spy(g, *args):
+        calls.append(g.rows)
+        return real(g, *args)
+
+    monkeypatch.setattr(search, "_test_graph", spy)
+    return calls
+
+
+PARENT_RULE_CASES = [
+    (f"{family}-{relation}-free:{letter}={p}", n, DEFAULT_NODE_BUDGET)
+    for family, letter in (("fs", "s"), ("qt", "t"))
+    for relation in ("minor", "subgraph")
+    for p in (1, 2)
+    for n in range(p + 1, 9 if p == 1 else 8)  # the join needs p < n
+] + [("fs-minor-free:s=2", 5, 5), ("fs-minor-free:s=2", 6, 5)]
+
+
 class TestConstraintParsing:
     def test_accepts_all_four_forms(self):
         assert parse_constraint("fs-minor-free:s=2") == ("fs", "minor", 2)
@@ -108,8 +184,6 @@ class TestExtremalSearch:
         # a C4-based pattern shrinks to any cycle of length >= 4, so the
         # feasible set is the graphs whose cycles are all triangles
         r = extremal_search(6, "qt-minor-free:t=1")
-        from speclab.enumerate import enumerate_connected
-
         want = sum(1 for g in enumerate_connected(6) if longest_cycle(g) <= 3)
         assert r.feasible == want
         assert r.exhausted_count == 0
@@ -164,11 +238,14 @@ class TestExtremalSearch:
         assert abs(best_all - r.best_rho) <= 1e-12
 
     def test_exhaustion_disqualifies_match(self):
-        r = extremal_search(6, "fs-minor-free:s=2", node_budget=5)
-        assert r.exhausted_count > 0
-        assert not r.match
-        assert r.enumerated == 112
-        assert r.feasible + r.exhausted_count <= r.enumerated
+        # the counts of a scan that tests every graph; tiny budgets are
+        # where a model inherited from the parent could lower them
+        for n, enumerated, exhausted in ((5, 21, 10), (6, 112, 83)):
+            r = extremal_search(n, "fs-minor-free:s=2", node_budget=5)
+            assert r.exhausted_count == exhausted
+            assert not r.match
+            assert r.enumerated == enumerated
+            assert r.feasible + r.exhausted_count <= r.enumerated
 
     def test_deterministic_json(self):
         a = extremal_search(6, "qt-minor-free:t=1").to_json(include_elapsed=False)
@@ -218,6 +295,42 @@ class TestExtremalSearch:
                 extremal_search(8, "fs-subgraph-free:s=8", workers=workers)
         with pytest.raises(ValueError):
             extremal_search(0, "fs-minor-free:s=1")
+
+
+class TestParentRule:
+    @pytest.mark.parametrize("constraint,n,budget", PARENT_RULE_CASES)
+    def test_matches_scan_that_tests_every_graph(self, monkeypatch, constraint, n, budget):
+        statuses, want = reference_search(n, constraint, budget)
+        calls = record_tests(monkeypatch)
+        serial = extremal_search(n, constraint, budget)
+        tested = set(calls)
+        # a graph the scan did not test was settled by its parent's model
+        for g in connected(n):
+            if g.rows not in tested:
+                assert statuses[g.rows] == FOUND, g.rows
+        monkeypatch.undo()
+        par = extremal_search(n, constraint, budget, workers=2)
+        text = want.to_json(include_elapsed=False)
+        assert serial.to_json(include_elapsed=False) == text
+        assert par.to_json(include_elapsed=False) == text
+
+    def test_each_parent_is_tested_once(self, monkeypatch):
+        n, constraint = 7, "fs-minor-free:s=1"
+        family, relation, param = parse_constraint(constraint)
+        low = (1 << (n - 1)) - 1
+        # each graph minus its last vertex, the parent it was augmented from
+        parents = [tuple(r & low for r in g.rows[:-1]) for g in connected(n)]
+        firsts = [p for i, p in enumerate(parents) if i == 0 or p != parents[i - 1]]
+        assert len(firsts) == len(set(firsts))  # siblings come consecutively
+        status = {
+            p: search._test_graph(Graph(p), family, relation, param, DEFAULT_NODE_BUDGET)
+            for p in firsts
+        }
+        want = len(firsts) + sum(status[p] != FOUND for p in parents)
+        calls = record_tests(monkeypatch)
+        extremal_search(n, constraint)
+        assert len(calls) == want
+        assert want < len(parents)
 
 
 class TestVerifyTheorem:
