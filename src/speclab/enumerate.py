@@ -66,6 +66,21 @@ no decision because:
    the orbits tied with O.  The canonical labeling places each vertex
    at its own position, so the earliest of those vertices lies in O iff
    O's earliest comes before every tied vertex outside O.
+8. The first round after degrees ranks (degree, sorted neighbour
+   degrees) by an order-preserving map, so among vertices of one degree
+   it orders them as their sorted neighbour-degree lists, which have
+   equal length.  In P+S a vertex u of P has degree deg_P(u) + [u in S]
+   and m has degree |S|, so the lists of m and of the ties of 5 come from
+   P's degrees and S alone, before the child is built, and comparing them
+   decides exactly _accept's first round.  By 4, a tie whose list is
+   smaller than m's keeps a smaller color in every later round, so the
+   subset is rejected; one whose list is larger keeps a larger color, so
+   it never sets the minimum while m does nor joins the vertices tied
+   with m, and dropping it from w_set changes no answer of _accept; when
+   none is left, m alone has the least color and is accepted.  The
+   set-bit table _BITS that replaces iter_bits in these loops has one
+   entry per mask below 2^CANONICAL_MAX_VERTICES, so raising that limit
+   grows it too (1,024 entries at 10, 16,384 at 14).
 """
 
 from __future__ import annotations
@@ -83,11 +98,15 @@ from .graph import (
     reachable_mask,
 )
 
+# _BITS[mask]: the set bit positions of mask, ascending (module docstring, 8)
+_BITS = tuple(tuple(iter_bits(x)) for x in range(1 << CANONICAL_MAX_VERTICES))
+
+
 def _wl_rounds(rows, n):
     """Refinement colors round by round, starting from degrees; each round
     refines the last (module docstring, 4), and the last is stable and
     identical across isomorphic graphs."""
-    nbrs = [list(iter_bits(rows[v])) for v in range(n)]
+    nbrs = [_BITS[rows[v]] for v in range(n)]
     colors = [len(nb) for nb in nbrs]
     while True:
         yield colors
@@ -102,7 +121,11 @@ def _wl_rounds(rows, n):
 def _automorphism(rows, n, colors, src, dst, fixed=0):
     """An automorphism fixing 0..fixed-1 and taking src to dst, or None.
 
-    Both src and dst must be >= fixed.
+    Both src and dst must be >= fixed.  The search places the vertices of
+    order one by one; since the images placed so far are distinct, x may
+    take w iff rows[x] & placed == img[w], the images of w's placed
+    neighbours, which is the pairwise edge check against every placed
+    vertex.
     """
     if colors[src] != colors[dst]:
         return None
@@ -111,26 +134,28 @@ def _automorphism(rows, n, colors, src, dst, fixed=0):
     rest = sorted((v for v in range(fixed, n) if v != src), key=lambda v: (colors[v], v))
     order = [*range(fixed), src, *rest]
     perm = [-1] * n
-    used = [False] * n
+    img = [0] * n  # img[w]: the images of w's placed neighbours
 
-    def bt(i):
+    def bt(i, placed):  # placed: the images of order[:i]
         if i == n:
             return True
         w = order[i]
-        rw = rows[w]
+        want = img[w]
         for x in [w] if w < fixed else [dst] if w == src else range(n):
-            if used[x] or colors[x] != colors[w]:
-                continue
-            if any((rw >> p) & 1 != (rows[x] >> perm[p]) & 1 for p in order[:i]):
+            bit = 1 << x
+            if placed & bit or colors[x] != colors[w] or rows[x] & placed != want:
                 continue
             perm[w] = x
-            used[x] = True
-            if bt(i + 1):
+            nbrs = _BITS[rows[w]]
+            for u in nbrs:
+                img[u] |= bit
+            if bt(i + 1, placed | bit):
                 return True
-            used[x] = False
+            for u in nbrs:
+                img[u] ^= bit
         return False
 
-    return perm if bt(0) else None
+    return perm if bt(0, 0) else None
 
 
 def _aut_generators(rows, n):
@@ -157,7 +182,8 @@ def _accept(child, n, w_set):
     """Does the new vertex (index n-1) lie in the canonical deletion orbit?
 
     w_set is the new vertex and the non-cut vertices of its degree
-    (module docstring, 5).
+    (module docstring, 5), less any whose first-round color exceeds the
+    new vertex's (8).
     """
     vnew = n - 1
     for colors in _wl_rounds(child, n):
@@ -188,12 +214,31 @@ def _accept(child, n, w_set):
     return min(perm[w] for w in orbit) < min(perm[w] for w in tied)
 
 
+def _first_round(nbrs, pdeg, subset, ties):
+    """m (ties[0]) and the ties whose first-round signature, the sorted
+    degrees of their neighbours in P+S, equals m's; None when one is
+    smaller (module docstring, 8).  nbrs and pdeg describe the parent P."""
+    mine = sorted(pdeg[u] + 1 for u in _BITS[subset])
+    kept = [ties[0]]
+    for w in ties[1:]:
+        sig = [pdeg[u] + ((subset >> u) & 1) for u in nbrs[w]]
+        if (subset >> w) & 1:
+            sig.append(len(mine))
+        sig.sort()
+        if sig < mine:
+            return None
+        if sig == mine:
+            kept.append(w)
+    return kept
+
+
 def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     m = len(parent)
     n = m + 1
     bit_new = 1 << m
+    nbrs = [_BITS[r] for r in parent]
     comps_per_w = [_components_minus(parent, m, w) for w in range(m)]
-    pdeg = [parent[w].bit_count() for w in range(m)]
+    pdeg = [len(nb) for nb in nbrs]
     by_degree = sorted(range(m), key=pdeg.__getitem__)
     cap = 1 + min(pdeg[w] for w in range(m) if len(comps_per_w[w]) <= 1)
     gens = [[1 << v for v in g] for g in _aut_generators(parent, m)]  # g[u]: bit of u's image
@@ -205,7 +250,7 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         marked[subset] = 1
         todo = [subset]
         while todo:
-            bits = list(iter_bits(todo.pop()))
+            bits = _BITS[todo.pop()]
             for g in gens:
                 t = 0
                 for u in bits:
@@ -227,12 +272,16 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
                 ties.append(w)
         if ties is None:
             continue
+        if len(ties) > 1:
+            ties = _first_round(nbrs, pdeg, subset, ties)
+            if ties is None:
+                continue
         child = list(parent)
-        for i in iter_bits(subset):
+        for i in _BITS[subset]:
             child[i] |= bit_new
         child.append(subset)
         child = tuple(child)
-        # strictly smallest degree is strictly smallest color
+        # strictly smallest color after the first round (module docstring, 8)
         if len(ties) == 1 or _accept(child, n, ties):
             yield child
 

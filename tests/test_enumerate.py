@@ -1,24 +1,36 @@
 import hashlib
+from functools import cache
 from itertools import permutations
 
 import pytest
 
 from speclab.enumerate import (
+    _BITS,
     _accept,
     _aut_generators,
     _automorphism,
     _children,
     _components_minus,
+    _wl_rounds,
     enumerate_connected,
     enumerate_connected_slice,
 )
 from speclab.errors import SizeLimitExceeded
-from speclab.graph import Graph, canonical_code, canonical_perm, is_connected, iter_bits
+from speclab.graph import (
+    CANONICAL_MAX_VERTICES,
+    Graph,
+    canonical_code,
+    canonical_perm,
+    is_connected,
+    iter_bits,
+)
 
 
+@cache
 def labeled_connected_classes(n):
-    """Brute force over all labeled graphs, deduplicated by canonical code."""
-    codes = set()
+    """Brute force over all labeled graphs, deduplicated by canonical code:
+    the first labeled graph of each class, by code."""
+    codes = {}
     pair_count = n * (n - 1) // 2
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for bits in range(1 << pair_count):
@@ -29,7 +41,7 @@ def labeled_connected_classes(n):
                 rows[v] |= 1 << u
         g = Graph(tuple(rows))
         if is_connected(g):
-            codes.add(canonical_code(g))
+            codes.setdefault(canonical_code(g), g)
     return codes
 
 
@@ -47,7 +59,7 @@ class TestEnumeration:
             want = labeled_connected_classes(n)
             got = [canonical_code(g) for g in enumerate_connected(n)]
             assert len(got) == len(set(got))  # no duplicates
-            assert set(got) == want  # nothing missing, nothing extra
+            assert set(got) == want.keys()  # nothing missing, nothing extra
 
     def test_outputs_are_connected_on_n_vertices(self):
         for g in enumerate_connected(7):
@@ -122,13 +134,13 @@ def unpruned_children(rows):
         yield Graph(tuple(child) + (subset,))
 
 
-def brute_force_aut_count(g):
+def brute_force_aut(g):
     edges = set(g.edges())
-    return sum(
-        1
+    return [
+        p
         for p in permutations(range(g.n))
         if all(tuple(sorted((p[u], p[v]))) in edges for u, v in edges)
-    )
+    ]
 
 
 def group_closure(gens, n):
@@ -160,7 +172,27 @@ class TestOrbitDedup:
                 gens = _aut_generators(g.rows, n)
                 for p in gens:
                     assert g.relabel(p) == g
-                assert len(group_closure(gens, n)) == brute_force_aut_count(g)
+                assert len(group_closure(gens, n)) == len(brute_force_aut(g))
+
+    def test_automorphism_matches_brute_force(self):
+        # representatives from the labeled scan, which runs no _automorphism
+        for n in range(1, 7):
+            for g in labeled_connected_classes(n).values():
+                aut = brute_force_aut(g)
+                *_, colors = _wl_rounds(g.rows, n)
+                for fixed in range(n):
+                    stab = [p for p in aut if all(p[v] == v for v in range(fixed))]
+                    reach = {(src, p[src]) for p in stab for src in range(fixed, n)}
+                    for src in range(fixed, n):
+                        for dst in range(fixed, n):
+                            perm = _automorphism(g.rows, n, colors, src, dst, fixed)
+                            assert (perm is not None) == ((src, dst) in reach), (g.rows, fixed, src, dst)
+                            if perm is not None:
+                                assert tuple(perm) in stab and perm[src] == dst
+
+    def test_bit_table(self):
+        assert len(_BITS) == 1 << CANONICAL_MAX_VERTICES
+        assert all(bits == tuple(iter_bits(x)) for x, bits in enumerate(_BITS))
 
 
 def reference_wl(rows, n):
