@@ -47,9 +47,10 @@ no decision because:
    S minus w, and its degree there is deg_P(w) + [w in S].  By 4, m is
    rejected when such a w has degree below |S|, and accepted without
    refinement when all have larger degree; vertices of larger degree
-   never reach the minimum color, so only the ties go to _accept.  Since
-   deg_P(w) + [w in S] > |S| once deg_P(w) > |S|, a scan of P's vertices
-   by ascending degree stops there.
+   never reach the minimum color, so only the ties go on, to 8.  Since
+   deg_P(w) + [w in S] > |S| once deg_P(w) > |S|, one scan of P's
+   vertices of degree at most |S| collects the ties and stops at the
+   first non-cut vertex of smaller degree, rejecting S.
 6. A non-cut vertex w of P stays non-cut in P+S unless S = {w}, with
    degree at most deg_P(w) + 1.  So with cap = 1 + the least degree of a
    non-cut vertex of P, every S with |S| > cap (hence S != {w}) is
@@ -72,12 +73,15 @@ no decision because:
    equal length.  In P+S a vertex u of P has degree deg_P(u) + [u in S]
    and m has degree |S|, so the lists of m and of the ties of 5 come from
    P's degrees and S alone, before the child is built, and comparing them
-   decides exactly _accept's first round.  By 4, a tie whose list is
-   smaller than m's keeps a smaller color in every later round, so the
-   subset is rejected; one whose list is larger keeps a larger color, so
-   it never sets the minimum while m does nor joins the vertices tied
-   with m, and dropping it from w_set changes no answer of _accept; when
-   none is left, m alone has the least color and is accepted.  The
+   decides exactly _accept's first round.  The scan of 5 compares each
+   tie's list with m's where it meets the tie, building m's list at the
+   first one.  By 4, a tie whose list is smaller than m's keeps a smaller
+   color in every later round, so the subset is rejected there, whatever
+   the rest of the scan holds; one whose list is larger keeps a larger
+   color, so it never sets the minimum while m does nor joins the
+   vertices tied with m, and leaving it out of w_set changes no answer of
+   _accept; when no tie is kept, m alone has the least color and is
+   accepted.  The
    set-bit table _BITS that replaces iter_bits in these loops has one
    entry per mask below 2^CANONICAL_MAX_VERTICES, so raising that limit
    grows it too (1,024 entries at 10, 16,384 at 14).
@@ -94,8 +98,8 @@ from .graph import (
     Graph,
     canonical_code,
     canonical_perm,
+    component_masks,
     iter_bits,
-    reachable_mask,
 )
 
 # _BITS[mask]: the set bit positions of mask, ascending (module docstring, 8)
@@ -166,18 +170,6 @@ def _aut_generators(rows, n):
     return [g for g in found if g is not None]
 
 
-def _components_minus(rows, n, w):
-    rem = ((1 << n) - 1) & ~(1 << w)
-    comps = []
-    todo = rem
-    while todo:
-        v = (todo & -todo).bit_length() - 1
-        comp = reachable_mask(rows, 1 << v, rem)
-        comps.append(comp)
-        todo &= ~comp
-    return comps
-
-
 def _accept(child, n, w_set):
     """Does the new vertex (index n-1) lie in the canonical deletion orbit?
 
@@ -214,33 +206,17 @@ def _accept(child, n, w_set):
     return min(perm[w] for w in orbit) < min(perm[w] for w in tied)
 
 
-def _first_round(nbrs, pdeg, subset, ties):
-    """m (ties[0]) and the ties whose first-round signature, the sorted
-    degrees of their neighbours in P+S, equals m's; None when one is
-    smaller (module docstring, 8).  nbrs and pdeg describe the parent P."""
-    mine = sorted(pdeg[u] + 1 for u in _BITS[subset])
-    kept = [ties[0]]
-    for w in ties[1:]:
-        sig = [pdeg[u] + ((subset >> u) & 1) for u in nbrs[w]]
-        if (subset >> w) & 1:
-            sig.append(len(mine))
-        sig.sort()
-        if sig < mine:
-            return None
-        if sig == mine:
-            kept.append(w)
-    return kept
-
-
 def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     m = len(parent)
     n = m + 1
     bit_new = 1 << m
     nbrs = [_BITS[r] for r in parent]
-    comps_per_w = [_components_minus(parent, m, w) for w in range(m)]
+    comps_per_w = [component_masks(parent, (bit_new - 1) ^ (1 << w)) for w in range(m)]
     pdeg = [len(nb) for nb in nbrs]
-    by_degree = sorted(range(m), key=pdeg.__getitem__)
     cap = 1 + min(pdeg[w] for w in range(m) if len(comps_per_w[w]) <= 1)
+    # by_degree[d]: P's vertices of degree <= d, by ascending degree
+    order = sorted(range(m), key=pdeg.__getitem__)
+    by_degree = [[w for w in order if pdeg[w] <= d] for d in range(cap + 1)]
     gens = [[1 << v for v in g] for g in _aut_generators(parent, m)]  # g[u]: bit of u's image
     marked = bytearray(1 << m)
     for subset in range(1, 1 << m):
@@ -258,32 +234,37 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
                 if not marked[t]:
                     marked[t] = 1
                     todo.append(t)
-        # m and the non-cut vertices of P+S of its degree; a non-cut vertex
-        # of smaller degree rejects the subset (module docstring, 5)
+        # m and the non-cut vertices of P+S of its degree whose first-round
+        # signature equals m's; one of smaller degree or signature rejects
+        # the subset, one of larger signature is dropped (module docstring,
+        # 5 and 8)
         ties = [m]
-        for w in by_degree:
-            if pdeg[w] > deg_new:
-                break
+        mine = None
+        for w in by_degree[deg_new]:
             d = pdeg[w] + ((subset >> w) & 1)
-            if d <= deg_new and all(c & subset & ~(1 << w) for c in comps_per_w[w]):
-                if d < deg_new:
-                    ties = None
-                    break
-                ties.append(w)
-        if ties is None:
-            continue
-        if len(ties) > 1:
-            ties = _first_round(nbrs, pdeg, subset, ties)
-            if ties is None:
+            if d > deg_new or not all(c & subset & ~(1 << w) for c in comps_per_w[w]):
                 continue
-        child = list(parent)
-        for i in _BITS[subset]:
-            child[i] |= bit_new
-        child.append(subset)
-        child = tuple(child)
-        # strictly smallest color after the first round (module docstring, 8)
-        if len(ties) == 1 or _accept(child, n, ties):
-            yield child
+            if d < deg_new:
+                break
+            if mine is None:
+                mine = sorted(pdeg[u] + 1 for u in _BITS[subset])
+            sig = [pdeg[u] + ((subset >> u) & 1) for u in nbrs[w]]
+            if (subset >> w) & 1:
+                sig.append(deg_new)
+            sig.sort()
+            if sig < mine:
+                break
+            if sig == mine:
+                ties.append(w)
+        else:
+            child = list(parent)
+            for i in _BITS[subset]:
+                child[i] |= bit_new
+            child.append(subset)
+            child = tuple(child)
+            # strictly smallest color after the first round (module docstring, 8)
+            if len(ties) == 1 or _accept(child, n, ties):
+                yield child
 
 
 def _iter_level(m: int) -> Iterator[tuple[int, ...]]:

@@ -48,26 +48,28 @@ class Graph:
         if n > MAX_VERTICES:
             raise SizeLimitExceeded(f"{n} vertices exceeds the cap of {MAX_VERTICES}")
         total = 0
+        edge_count = 0
         for u, r in enumerate(rows):
             if r < 0 or r >> n:
                 raise ValueError(f"row {u} has bits outside 0..{n - 1}")
             if (r >> u) & 1:
                 raise ValueError(f"loop at vertex {u}")
             total += r.bit_count()
-        if total % 2:
-            raise ValueError("adjacency rows are not symmetric")
-        for u, r in enumerate(rows):
-            # check only the v > u half; total parity plus this gives symmetry
+            # every bit above the diagonal needs its mirror; the total check
+            # below then leaves no room for an unmirrored bit under it
             m = r >> (u + 1) << (u + 1)
+            edge_count += m.bit_count()
             while m:
                 low = m & -m
                 v = low.bit_length() - 1
                 if not (rows[v] >> u) & 1:
                     raise ValueError(f"edge {u}-{v} present in one direction only")
                 m ^= low
+        if total != 2 * edge_count:
+            raise ValueError("adjacency rows are not symmetric")
         self.n = n
         self.rows = rows
-        self.edge_count = total // 2
+        self.edge_count = edge_count
 
     # -- constructors ------------------------------------------------------
 
@@ -259,15 +261,14 @@ def reachable_mask(rows: tuple[int, ...], start_mask: int, within: int) -> int:
         seen |= frontier
     return seen
 
-def component_masks(g: Graph) -> list[int]:
-    """Vertex masks of the connected components, by smallest member."""
+def component_masks(rows: tuple[int, ...], within: int) -> list[int]:
+    """Vertex masks of the components of the subgraph induced on `within`,
+    by smallest member."""
     comps = []
-    remaining = (1 << g.n) - 1
-    while remaining:
-        start = remaining & -remaining
-        seen = reachable_mask(g.rows, start, remaining)
-        comps.append(seen)
-        remaining &= ~seen
+    while within:
+        comp = reachable_mask(rows, within & -within, within)
+        comps.append(comp)
+        within &= ~comp
     return comps
 
 def is_connected(g: Graph) -> bool:

@@ -47,9 +47,20 @@ kernel.  The engine receives the deleted vertices as already used, so
 seeds and paths never touch them, and branch sets keep the host's own
 labels; verify_model still checks every model on the whole host.
 
-The hub-and-arms searches (friendship and intersecting-quadrilateral
-patterns) add seed-order symmetry cuts: the two ends of an arm are
-interchangeable, as are whole arms, so seeds are forced ascending.
+Hub-and-arms cut: F_s is a hub joined to both ends of s arms u-v, and
+Q_t a hub joined to both ends of t arms x-y-z.  Their searches seed the
+hub first and then each arm's positions in turn, its ends first and
+last, and admit an arm's last-end seed only above that arm's first-end
+seed, and an arm's first-end seed only above the previous arm's.  Take
+any model M and the least vertex of each branch set; disjoint sets have
+distinct least vertices.  Swapping the two ends of every arm whose last
+end has the smaller one, then ordering the arms by their first ends'
+least vertices, is an automorphism of the pattern, and it maps M to a
+model M' whose least vertices the filter admits as seeds.  The filter
+reads only the seeds, which growing a set never changes, so the branch
+that seeds every position with the least vertex of its M' set is
+searched, and the completeness argument, which allows any seed
+B_i subseteq M_i, applies to it unchanged.
 """
 
 from __future__ import annotations
@@ -279,7 +290,7 @@ class _Engine:
 
 
 def _cycle_rank(g: Graph) -> int:
-    return g.edge_count - g.n + len(component_masks(g))
+    return g.edge_count - g.n + len(component_masks(g.rows, (1 << g.n) - 1))
 
 
 def _peel(g: Graph) -> int:
@@ -326,27 +337,37 @@ def find_minor_model(
     return _run_search(host, pattern, node_budget)
 
 
-def _fs_seed_filter(k, v, seeds):
-    # hub at position 0, arm pair i at positions 2i+1, 2i+2; pair ends are
-    # interchangeable and so are whole pairs, force seeds ascending
-    if k == 0:
-        return True
-    if k % 2 == 1:
-        return k == 1 or v > seeds[k - 2]
-    return v > seeds[k - 1]
+def _arm_seed_filter(size):
+    """The seed filter for a hub at position 0 followed by arms of `size`
+    positions, each arm's two ends first and last (module docstring,
+    hub-and-arms cut)."""
+    # rival[k]: the position whose seed the seed at position k must exceed
+    rival = [-1] * MAX_PATTERN_VERTICES
+    for k in range(2, MAX_PATTERN_VERTICES):
+        r = (k - 1) % size
+        if r == 0:
+            rival[k] = k - size  # an arm's first end: the previous arm's
+        elif r == size - 1:
+            rival[k] = k - size + 1  # an arm's last end: its first end
+
+    def admit(k, v, seeds):
+        j = rival[k]
+        return j < 0 or v > seeds[j]
+
+    return admit
 
 
 @lru_cache(maxsize=16)
-def _hub_pattern(spec: FamilySpec) -> Graph:
-    # built once per spec, since a search asks for it on every graph; the
+def _hub_search(spec: FamilySpec, arm_size: int):
+    # built once per spec, since a search asks for them on every graph; the
     # constructed labels put the hub first and each arm contiguously, the
-    # positions the seed filters assume
+    # positions the seed filter assumes
     pattern, _ = construct(spec)
-    return pattern
+    return pattern, _arm_seed_filter(arm_size)
 
 
-def _hub_minor(host, spec, node_budget, seed_filter) -> MinorAnswer:
-    pattern = _hub_pattern(spec)
+def _hub_minor(host, spec, node_budget, arm_size) -> MinorAnswer:
+    pattern, seed_filter = _hub_search(spec, arm_size)
     return _run_search(host, pattern, node_budget, tuple(range(pattern.n)), seed_filter)
 
 
@@ -354,27 +375,14 @@ def has_fs_minor(host: Graph, s: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
     """Search for a minor made of s triangles sharing one hub vertex."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    return _hub_minor(host, FamilySpec("friendship", s=s), node_budget, _fs_seed_filter)
-
-
-def _qt_seed_filter(k, v, seeds):
-    # hub at 0, arm j at positions 3j+1 (end), 3j+2 (middle), 3j+3 (end);
-    # the two ends are interchangeable and so are whole arms
-    if k == 0:
-        return True
-    r = (k - 1) % 3
-    if r == 0:
-        return k == 1 or v > seeds[k - 3]
-    if r == 2:
-        return v > seeds[k - 2]
-    return True
+    return _hub_minor(host, FamilySpec("friendship", s=s), node_budget, 2)
 
 
 def has_qt_minor(host: Graph, t: int, node_budget: int = DEFAULT_NODE_BUDGET) -> MinorAnswer:
     """Search for a minor made of t quadrilaterals sharing one hub vertex."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    return _hub_minor(host, FamilySpec("intersecting-c4", t=t), node_budget, _qt_seed_filter)
+    return _hub_minor(host, FamilySpec("intersecting-c4", t=t), node_budget, 3)
 
 
 @dataclass(frozen=True)

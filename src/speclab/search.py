@@ -330,13 +330,10 @@ def edge_bound_audit(
             "checks": {},
         }
         if spec.kind in ("efgg", "zlx"):
-            s = spec.s
-            corr = s * s - s if s % 2 else s * s - 3 * s // 2
-            target = g.n * g.n // 4 + corr
             row["checks"]["edge_maximum_equality"] = {
-                "target": target,
-                "correction": corr,
-                "equality": e == target,
+                "target": expected,
+                "correction": expected - g.n * g.n // 4,
+                "equality": e == expected,
             }
         if spec.kind == "ks-join-independent":
             bound = spec.s * spec.n

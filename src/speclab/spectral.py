@@ -103,7 +103,7 @@ def spectral_radius(g: Graph, tol: float = 1e-10, max_iter: int = 100000) -> Spe
 
     a = adjacency_matrix(g)
     best = None
-    for mask in component_masks(g):
+    for mask in component_masks(g.rows, (1 << g.n) - 1):
         idx = list(iter_bits(mask))
         sub = a[np.ix_(idx, idx)]
         rho, x, res, it = _component_power(sub, tol, max_iter)

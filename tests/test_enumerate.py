@@ -10,7 +10,6 @@ from speclab.enumerate import (
     _aut_generators,
     _automorphism,
     _children,
-    _components_minus,
     _wl_rounds,
     enumerate_connected,
     enumerate_connected_slice,
@@ -21,6 +20,7 @@ from speclab.graph import (
     Graph,
     canonical_code,
     canonical_perm,
+    component_masks,
     is_connected,
     iter_bits,
 )
@@ -258,7 +258,7 @@ def reference_children(parent):
     m = len(parent)
     n = m + 1
     bit_new = 1 << m
-    comps_per_w = [_components_minus(parent, m, w) for w in range(m)]
+    comps_per_w = [component_masks(parent, ((1 << m) - 1) ^ (1 << w)) for w in range(m)]
     pdeg = [parent[w].bit_count() for w in range(m)]
     images = []
     for g in _aut_generators(parent, m):
@@ -316,7 +316,8 @@ class TestEarlyRejection:
         # because enumeration accepts n = 10.
         for n in range(2, 8):
             for g in enumerate_connected(n):
-                noncut = [v for v in range(n) if len(_components_minus(g.rows, n, v)) <= 1]
+                full = (1 << n) - 1
+                noncut = [v for v in range(n) if len(component_masks(g.rows, full ^ (1 << v))) <= 1]
                 for x in noncut:
                     perm = [v - (v > x) for v in range(n)]
                     perm[x] = n - 1

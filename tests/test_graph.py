@@ -86,9 +86,13 @@ class TestConstruction:
     def test_rejects_asymmetric_rows(self):
         with pytest.raises(ValueError):
             Graph([0b010, 0b000, 0b000])
-        # an even bit count passes the parity check; only the pairwise walk sees it
+        # an unmirrored bit above the diagonal fails the walk itself
         with pytest.raises(ValueError, match="one direction only"):
             Graph([0b110, 0b000, 0b000])
+        # vertex 2 lists 0 and 1, neither lists 2: the bit count, 4, is even,
+        # but the walk above the diagonal counts only the edge 0-1
+        with pytest.raises(ValueError, match="not symmetric"):
+            Graph([0b010, 0b001, 0b011])
 
     def test_rejects_loop(self):
         with pytest.raises(ValueError):
@@ -246,8 +250,12 @@ class TestJoinUnion:
 class TestConnectivity:
     def test_components(self):
         g = disjoint_union(complete(3), Graph.empty(2))
-        masks = component_masks(g)
+        masks = component_masks(g.rows, (1 << g.n) - 1)
         assert masks == [0b00111, 0b01000, 0b10000]
+        # within: g minus vertex 1, and the path 0-1-2-3-4 minus vertex 2
+        assert component_masks(g.rows, 0b11101) == [0b00101, 0b01000, 0b10000]
+        p = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        assert component_masks(p.rows, 0b11011) == [0b00011, 0b11000]
         assert not is_connected(g)
         assert is_connected(complete(3))
         assert is_connected(Graph.empty(1))

@@ -18,8 +18,7 @@ from speclab.minor import (
     NOT_FOUND,
     MinorModel,
     _Engine,
-    _fs_seed_filter,
-    _qt_seed_filter,
+    _arm_seed_filter,
     check_structure_fs,
     check_structure_qt,
     clique_closure_check,
@@ -108,6 +107,40 @@ def with_pendants(g, k, rng):
     perm = list(range(n))
     rng.shuffle(perm)
     return Graph.from_edges(n, edges).relabel(perm)
+
+
+def kernel_corpus():
+    """100 random hosts with up to three pendant vertices each."""
+    rng = random.Random(988)
+    hosts = []
+    for _ in range(100):
+        base = random_graph(rng.randint(2, 9), rng.choice([0.2, 0.35, 0.5, 0.7]), rng)
+        hosts.append(with_pendants(base, rng.randint(0, 3), rng))
+    return hosts
+
+
+# The per-pattern seed filters that _arm_seed_filter replaced, verbatim.
+def _fs_seed_filter(k, v, seeds):
+    # hub at position 0, arm pair i at positions 2i+1, 2i+2; pair ends are
+    # interchangeable and so are whole pairs, force seeds ascending
+    if k == 0:
+        return True
+    if k % 2 == 1:
+        return k == 1 or v > seeds[k - 2]
+    return v > seeds[k - 1]
+
+
+def _qt_seed_filter(k, v, seeds):
+    # hub at 0, arm j at positions 3j+1 (end), 3j+2 (middle), 3j+3 (end);
+    # the two ends are interchangeable and so are whole arms
+    if k == 0:
+        return True
+    r = (k - 1) % 3
+    if r == 0:
+        return k == 1 or v > seeds[k - 3]
+    if r == 2:
+        return v > seeds[k - 2]
+    return True
 
 
 class TestVerifyModel:
@@ -274,7 +307,6 @@ class TestKernelAndRank:
     """The cycle-rank reject and the degree <= 1 peel against the bare engine."""
 
     def test_differential_against_unpruned_engine(self):
-        rng = random.Random(988)
         # (pruned entry point, pattern, search order, seed filter)
         cases = [
             (lambda g, s=s: has_fs_minor(g, s), friendship(s),
@@ -290,9 +322,7 @@ class TestKernelAndRank:
             order = tuple(sorted(range(pat.n), key=lambda v: (-pat.degree(v), v)))
             cases.append((lambda g, pat=pat: find_minor_model(g, pat), pat, order, None))
         pruned_nodes = ref_nodes = queries = 0
-        for _ in range(100):
-            base = random_graph(rng.randint(2, 9), rng.choice([0.2, 0.35, 0.5, 0.7]), rng)
-            g = with_pendants(base, rng.randint(0, 3), rng)
+        for g in kernel_corpus():
             for run, pat, order, seed_filter in cases:
                 ans = run(g)
                 ref = _Engine(g, pat, order, 10**7, seed_filter).run()
@@ -306,6 +336,18 @@ class TestKernelAndRank:
                 ref_nodes += ref.nodes_used
                 queries += 1
         assert queries == 800 and pruned_nodes < ref_nodes
+
+    def test_arm_filter_matches_per_pattern_filters(self):
+        cases = [(friendship(s), 2, _fs_seed_filter) for s in (1, 2)] + [
+            (quadrilaterals(t), 3, _qt_seed_filter) for t in (1, 2)
+        ]
+        for g in kernel_corpus():
+            for pat, size, ref_filter in cases:
+                order = tuple(range(pat.n))
+                got = _Engine(g, pat, order, 10**7, _arm_seed_filter(size)).run()
+                want = _Engine(g, pat, order, 10**7, ref_filter).run()
+                assert got.status == want.status, (g.rows, pat.rows)
+                assert got.nodes_used == want.nodes_used, (g.rows, pat.rows)
 
     def test_tree_host_rejected_by_rank(self):
         rng = random.Random(989)
