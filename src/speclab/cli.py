@@ -48,9 +48,7 @@ from .search import (
     reports_to_csv,
     verify_theorem_small_n,
 )
-from .spectral import rho_closed_form, spectral_radius
-
-CLOSED_FORM_TOLERANCE = 1e-9
+from .spectral import CLOSED_FORM_TOLERANCE, rho_closed_form, spectral_radius
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -353,7 +351,7 @@ _COMMANDS = {
             _arg("--family", help="family spec to construct"),
             _arg("--stdin", action="store_true", help="read one g6 string from stdin"),
         ],
-        _arg("--closed-form", action="store_true", help="compare against the analytic value (families only); mismatch over 1e-9 exits 2"),
+        _arg("--closed-form", action="store_true", help=f"compare against the analytic value (families only); mismatch over {CLOSED_FORM_TOLERANCE:g} exits 2"),
     )),
     "minor": _Command(_cmd_minor, "minor containment with certificate", ("json", "text"), ("budget",), (
         _arg("--pattern", required=True, help="fs:s=N, qt:t=N, or a g6 string"),

@@ -267,22 +267,16 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
                 yield child
 
 
-def _iter_level(m: int) -> Iterator[tuple[int, ...]]:
-    if m == 1:
-        yield (0,)
-        return
-    for parent in _iter_level(m - 1):
-        yield from _children(parent)
-
-
 def enumerate_connected(n: int) -> Iterator[Graph]:
     """All connected graphs on n vertices, one per isomorphism class."""
-    return enumerate_connected_slice(n, 0, 1)
+    return (Graph(rows) for _, rows in enumerate_connected_slice(n, 0, 1))
 
 
-def enumerate_connected_slice(n: int, part: int, parts: int) -> Iterator[Graph]:
+def enumerate_connected_slice(n: int, part: int, parts: int) -> Iterator[tuple]:
     """Slice `part` of `parts` of enumerate_connected(n), split by final
-    augmentation branch (children of every parts-th (n-1)-vertex parent).
+    augmentation branch (children of every parts-th (n-1)-vertex parent),
+    as (parent rows, child rows) pairs.  Siblings come consecutively and
+    share one parent tuple, the child minus its last vertex (() at n = 1).
 
     The slices are disjoint and their union over part = 0..parts-1 is
     exactly enumerate_connected(n); slicing never changes which graphs
@@ -297,6 +291,7 @@ def enumerate_connected_slice(n: int, part: int, parts: int) -> Iterator[Graph]:
             f"enumeration limited to {CANONICAL_MAX_VERTICES} vertices, got {n}"
         )
     if n == 1:
-        return iter([Graph((0,))] if part == 0 else [])
-    parents = islice(_iter_level(n - 1), part, None, parts)
-    return (Graph(rows) for p in parents for rows in _children(p))
+        return iter([((), (0,))] if part == 0 else [])
+    level = (rows for _, rows in enumerate_connected_slice(n - 1, 0, 1))
+    parents = islice(level, part, None, parts)
+    return ((p, rows) for p in parents for rows in _children(p))

@@ -183,6 +183,7 @@ class _Engine:
             a, b = sorted((pos_of[u], pos_of[v]))
             self.pos_edges.append((a, b))
         self.pos_edges.sort()
+        self.pos_degree = [pattern.degree(v) for v in order]
         self.sets: list[int] = []
         self.nbrs: list[int] = []  # union of host rows over each set
         self.seeds: list[int] = []
@@ -206,7 +207,7 @@ class _Engine:
                 return True
             if self.host.n - self.used.bit_count() < len(self.order) - k:
                 return False
-            pdeg = self.pattern.degree(self.order[k])
+            pdeg = self.pos_degree[k]
             for v in range(self.host.n):
                 bit = 1 << v
                 if self.used & bit:

@@ -13,7 +13,8 @@ of a graph is the max over its components, and the winning component is
 itself a member), so disconnected hosts never beat the connected best.
 This is cross-checked against an all-graphs scan at n <= 6 in the tests.
 
-Each graph's parent P = G - (n-1) is tested once, and every child of a
+The walk hands over each graph G with the parent P it was built from,
+G minus its last vertex n-1.  P is tested once, and every child of a
 parent found to contain the pattern is counted as containing it without
 a test of its own.  Soundness: P is an induced subgraph of G with the
 same labels.  A minor model of the pattern in P is a family of disjoint
@@ -43,9 +44,9 @@ import time
 from dataclasses import dataclass, fields
 
 from .enumerate import enumerate_connected, enumerate_connected_slice
-from .errors import VerificationFailed
+from .errors import BudgetExhausted, VerificationFailed
 from .families import FamilySpec, construct, expected_edge_count
-from .graph import Graph, canonical_code, g6_decode
+from .graph import Graph, canonical_code
 from .minor import (
     DEFAULT_NODE_BUDGET,
     EXHAUSTED,
@@ -57,7 +58,7 @@ from .minor import (
     qt_subgraph_witness,
 )
 from .record import Record
-from .spectral import adjacency_matrix, rho_closed_form, spectral_radius
+from .spectral import CLOSED_FORM_TOLERANCE, adjacency_matrix, rho_closed_form, spectral_radius
 
 TIE_TOLERANCE = 1e-9
 # graphs this close to the best radius are recomputed by a dense
@@ -146,19 +147,18 @@ def _scan(n, constraint, budget, part, parts):
     feasible = 0
     exhausted = 0
     best = None
-    keep: list[tuple[float, str]] = []
-    low = (1 << (n - 1)) - 1
+    keep: list[tuple[float, tuple[int, ...]]] = []
     # the last parent tested; the stream yields siblings consecutively.
     # At n = 1 the parent is the empty graph, which holds no pattern.
-    parent, parent_status = (), NOT_FOUND
-    for g in enumerate_connected_slice(n, part, parts):
+    tested, parent_status = (), NOT_FOUND
+    for parent, rows in enumerate_connected_slice(n, part, parts):
         enumerated += 1
-        rows = tuple(r & low for r in g.rows[:-1])
-        if rows != parent:
-            parent = rows
-            parent_status = _test_graph(Graph(rows), family, relation, param, budget)
+        if parent != tested:
+            tested = parent
+            parent_status = _test_graph(Graph(parent), family, relation, param, budget)
         if parent_status == FOUND:
             continue  # the parent's model is a model in g (module docstring)
+        g = Graph(rows)
         status = _test_graph(g, family, relation, param, budget)
         if status == EXHAUSTED:
             exhausted += 1
@@ -171,18 +171,19 @@ def _scan(n, constraint, budget, part, parts):
             best = rho
             keep = [kr for kr in keep if kr[0] >= best - RECHECK_WINDOW]
         if rho >= best - RECHECK_WINDOW:
-            keep.append((rho, canonical_code(g).decode("ascii")))
+            keep.append((rho, rows))
     return enumerated, feasible, exhausted, best, keep
 
 
 def _recheck_radii(entries):
-    """Recompute each (rho, g6) with numpy.linalg.eigvalsh; raise
+    """Recompute each (rho, rows) with numpy.linalg.eigvalsh; raise
     VerificationFailed where it disagrees with power iteration."""
     import numpy as np
 
-    for rho, g6 in entries:
-        dense = float(np.linalg.eigvalsh(adjacency_matrix(g6_decode(g6)))[-1])
+    for rho, rows in entries:
+        dense = float(np.linalg.eigvalsh(adjacency_matrix(Graph(rows)))[-1])
         if abs(dense - rho) > RECHECK_TOLERANCE:
+            g6 = canonical_code(Graph(rows)).decode("ascii")
             raise VerificationFailed(
                 f"power iteration gives rho {rho!r} for {g6}, eigvalsh gives {dense!r}"
             )
@@ -235,7 +236,8 @@ def extremal_search(
     if best is not None:
         near = [e for p in partials for e in p[4] if e[0] >= best - RECHECK_WINDOW]
         _recheck_radii(near)
-        maximizers = tuple(sorted(g6 for rho, g6 in near if rho >= best - TIE_TOLERANCE))
+        tied = (rows for rho, rows in near if rho >= best - TIE_TOLERANCE)
+        maximizers = tuple(sorted(canonical_code(Graph(rows)).decode("ascii") for rows in tied))
     match = exhausted == 0 and pred_g6 in maximizers
     return SearchReport(
         n=n,
@@ -270,7 +272,10 @@ def verify_theorem_small_n(
     Never asserts that the search agrees with the extremal claim (that
     holds only for large n); instead asserts that the predicted join
     graph passes its own freeness test and that its computed rho matches
-    the closed form to 1e-9, and records the per-n match flags.
+    the closed form to CLOSED_FORM_TOLERANCE, and records the per-n match
+    flags.  A freeness test of the predicted graph that runs out of budget
+    raises BudgetExhausted; one that finds the pattern raises
+    VerificationFailed.
     """
     if mode not in _MODE_CONSTRAINTS:
         raise ValueError(f"mode must be one of {sorted(_MODE_CONSTRAINTS)}")
@@ -286,13 +291,14 @@ def verify_theorem_small_n(
         family, relation, _ = parse_constraint(constraint)
         status = _test_graph(g_pred, family, relation, param, node_budget)
         if status != NOT_FOUND:
-            raise VerificationFailed(
-                f"predicted graph for {constraint} at n={n} fails its own "
-                f"freeness test ({status})"
+            error = BudgetExhausted if status == EXHAUSTED else VerificationFailed
+            raise error(
+                f"predicted graph for {constraint} at n={n}: its own "
+                f"freeness test gives {status}"
             )
         rho = spectral_radius(g_pred).rho
         closed = rho_closed_form(spec)
-        if abs(rho - closed) > 1e-9:
+        if abs(rho - closed) > CLOSED_FORM_TOLERANCE:
             raise VerificationFailed(
                 f"predicted rho {rho!r} disagrees with closed form {closed!r} "
                 f"at n={n}"

@@ -123,6 +123,11 @@ def _quotient_rho(blocks: list[list[float]]) -> float:
     return float(np.max(vals.real))
 
 
+# how far a computed radius may sit from rho_closed_form before the two
+# are said to disagree
+CLOSED_FORM_TOLERANCE = 1e-9
+
+
 def rho_closed_form(spec: FamilySpec) -> float:
     """Exact spectral radius for the families that have one."""
     k = spec.kind

@@ -202,6 +202,12 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(out)["status"] == "exhausted"
 
+    def test_verify_unsettled_prediction_exit(self, capsys):
+        argv = ["verify", "--mode", "fs:s=2", "--n-from", "5", "--n-to", "5", "--budget", "1"]
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (3, "")
+        assert "exhausted" in err
+
     def test_search_exhaustion_exit(self, capsys):
         code, out, _ = invoke(
             capsys,

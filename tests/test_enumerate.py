@@ -116,14 +116,27 @@ class TestEnumeration:
     @pytest.mark.parametrize("parts", [2, 3])
     def test_slices_partition(self, n, parts):
         full = [g.rows for g in enumerate_connected(n)]
-        sliced = [g.rows for k in range(parts) for g in enumerate_connected_slice(n, k, parts)]
+        sliced = [rows for k in range(parts) for _, rows in enumerate_connected_slice(n, k, parts)]
         assert sorted(sliced) == sorted(full)
 
     def test_slice_limits(self):
         for part, parts in [(0, 0), (2, 2), (-1, 2)]:
             with pytest.raises(ValueError):
                 enumerate_connected_slice(5, part, parts)
-        assert [g.rows for g in enumerate_connected_slice(1, 1, 2)] == []
+        assert [rows for _, rows in enumerate_connected_slice(1, 1, 2)] == []
+        assert list(enumerate_connected_slice(1, 0, 2)) == [((), (0,))]
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_slice_hands_each_child_its_parent(self, parts):
+        for n in range(1, 8):
+            low = (1 << (n - 1)) - 1
+            for part in range(parts):
+                pairs = list(enumerate_connected_slice(n, part, parts))
+                for parent, child in pairs:
+                    assert parent == tuple(r & low for r in child[:-1])
+                # siblings come consecutively and share one parent tuple
+                runs = [p for i, (p, _) in enumerate(pairs) if i == 0 or p is not pairs[i - 1][0]]
+                assert len(runs) == len(set(runs))
 
 
 def unpruned_children(rows):

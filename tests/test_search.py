@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from speclab.errors import InvalidSpec, VerificationFailed
+from speclab.errors import BudgetExhausted, InvalidSpec, VerificationFailed
 from speclab.families import FamilySpec, construct
 from speclab.graph import Graph, canonical_code, g6_decode, is_connected
 from speclab import search
@@ -360,6 +360,15 @@ class TestVerifyTheorem:
     def test_unconstructible_prediction_propagates(self):
         with pytest.raises(InvalidSpec):
             verify_theorem_small_n("fs", 2, (2, 2))
+
+    def test_unsettled_prediction_is_budget_exhaustion(self, monkeypatch):
+        # the join's own freeness test runs out of budget: nothing is refuted
+        with pytest.raises(BudgetExhausted, match="exhausted"):
+            verify_theorem_small_n("fs", 2, (5, 5), node_budget=1)
+        # a pattern found in the join refutes the prediction
+        monkeypatch.setattr(search, "_test_graph", lambda *args: FOUND)
+        with pytest.raises(VerificationFailed, match="found"):
+            verify_theorem_small_n("fs", 2, (5, 5))
 
 
 class TestEdgeBoundAudit:
