@@ -23,15 +23,23 @@ only one subset per Aut(P)-orbit is tested, which is sound because:
    orbit: a smaller member was visited first, and the orbit then marked
    was this one.  By 1 that member is where a walk deduplicating
    accepted siblings by canonical code first meets its class, so both
-   walks yield the same graphs in the same order.
+   walks yield the same graphs in the same order.  When Aut(P) is
+   trivial every orbit is a single subset, so the walk tests every
+   subset it visits and marks none.
 3. Orbits need only generators of Aut(P), not its elements (K_8 has
-   40,320).  Let G_i fix 0..i-1 pointwise.  For every v > i in the
-   G_i-orbit of i, _aut_generators keeps one t_v in G_i with t_v(i) = v.
-   Any h in G_i equals t_{h(i)} h' with h' in G_{i+1} (t_i = 1), so by
-   induction down from G_m = 1 the kept elements generate G_0 = Aut(P),
-   and |Aut(P)| is the product of the G_i-orbit sizes of i.
+   40,320).  Let G_i fix 0..i-1 pointwise, so G_{m-1} = 1.
+   _aut_generators walks i from m-2 down to 0; suppose the elements H
+   kept so far generate G_{i+1}.  It visits v > i in ascending order,
+   skips v already in the H-orbit of i, and otherwise keeps a t in G_i
+   with t(i) = v, if there is one, and updates that orbit.  Afterwards
+   every v in the G_i-orbit of i is in the H-orbit of i.  Schreier step:
+   for h in G_i pick t in H with t(i) = h(i); then t^-1 h fixes 0..i, so
+   it lies in G_{i+1}, which H generates, and h lies in <H>.  Hence H
+   generates G_i, and by induction Aut(P) = G_0.  Every kept t grows the
+   orbit, so level i keeps fewer elements than the orbit has points:
+   K_m keeps one per level, m-1 in all.
 
-Refinement colors are assigned by sorted signature, so two isomorphic
+Refinement colors are ranks of signatures (4, 10), so two isomorphic
 graphs get identical color vectors up to the isomorphism.  Most subsets
 are rejected before the child is built or fully refined, which changes
 no decision because:
@@ -44,21 +52,25 @@ no decision because:
    which m's color exceeds the minimum over the candidates, and the
    stable colors, which it then needs, are those of the last round.
 5. A vertex w of P is non-cut in P+S iff every component of P-w meets
-   S minus w, and its degree there is deg_P(w) + [w in S].  By 4, m is
-   rejected when such a w has degree below |S|, and accepted without
-   refinement when all have larger degree; vertices of larger degree
-   never reach the minimum color, so only the ties go on, to 8.  Since
-   deg_P(w) + [w in S] > |S| once deg_P(w) > |S|, one scan of P's
-   vertices of degree at most |S| collects the ties and stops at the
-   first non-cut vertex of smaller degree, rejecting S.
+   S (none holds w), and its degree there is deg_P(w) + [w in S].  By 4,
+   m is rejected when such a w has degree below |S|, and accepted
+   without refinement when all have larger degree; vertices of larger
+   degree never reach the minimum color, so only the ties go on, to 8.
+   Since deg_P(w) + [w in S] > |S| once deg_P(w) > |S|, one scan of
+   P's vertices of degree at most |S| collects the ties and stops at
+   the first non-cut vertex of smaller degree, rejecting S.
 6. A non-cut vertex w of P stays non-cut in P+S unless S = {w}, with
    degree at most deg_P(w) + 1.  So with cap = 1 + the least degree of a
    non-cut vertex of P, every S with |S| > cap (hence S != {w}) is
-   rejected by 5.  Automorphisms of P preserve |S|, so the cap skips
-   whole orbits; leaving them unmarked touches no mark of another orbit,
-   and 2 still tests the smallest member of every orbit it walks.
+   rejected by 5.  Automorphisms of P preserve |S|, so every orbit lies
+   wholly among the subsets of at most cap elements or wholly outside.
+   _children walks only those subsets, in ascending order, from a list
+   built once per (m, cap); leaving the others out touches no mark of a
+   walked orbit, and by 2 the walk tests the smallest member of every
+   orbit it meets, the same subsets the walk over all of them tests.
 7. _accept decides the rule of the first paragraph while finding only
-   m's orbit O, by one _automorphism(m, w) query per tied vertex w.
+   m's orbit O, by one _automorphism(m, w) query per tied vertex w
+   that is not a twin of m (9).
    Automorphisms keep degree, cut status and stable color, so all of O
    lies in w_set with m's color, and the other tied vertices fall into
    whole orbits.  Members of one orbit have isomorphic deletions, hence
@@ -81,14 +93,30 @@ no decision because:
    color, so it never sets the minimum while m does nor joins the
    vertices tied with m, and leaving it out of w_set changes no answer of
    _accept; when no tie is kept, m alone has the least color and is
-   accepted.  The
-   set-bit table _BITS that replaces iter_bits in these loops has one
-   entry per mask below 2^CANONICAL_MAX_VERTICES, so raising that limit
-   grows it too (1,024 entries at 10, 16,384 at 14).
+   accepted.  The set-bit table _BITS that replaces iter_bits in these
+   loops has one entry per mask below 2^CANONICAL_MAX_VERTICES, so
+   raising that limit grows it too (1,024 entries at 10, 16,384 at 14).
+9. A tied vertex w with N(m) minus w equal to N(w) minus m is a twin of
+   m: the transposition (m w) is an automorphism of P+S, so w lies in
+   m's orbit O.  When every vertex of w_set is a twin of m, O holds all
+   of w_set, so m's stable color is the least there and no tied vertex
+   lies outside O; by 7 m is accepted, and _accept returns True before
+   refining.  Otherwise _accept counts the twins into O without an
+   _automorphism query.
+10. Within one previous color all vertices have equal degree (4), so
+    their sorted neighbour-color lists have equal length.  Colors lie in
+    0..n-1 (degrees at first, ranks after), so such a list is fixed by
+    the count c_k of each color k, and c_k <= n-1.  Of two such lists
+    the smaller has more copies of the least color whose counts differ.
+    Read as base-n digits, S = sum of n^(n-1-color(u)) over neighbours
+    u = sum of c_k n^(n-1-k) orders the lists in reverse, and S < n^n.
+    So ranking color(v) n^n - S gives the ranks of the signatures of 4,
+    round by round, without sorting a list per vertex.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import islice
 from typing import Iterator
 
@@ -109,14 +137,18 @@ _BITS = tuple(tuple(iter_bits(x)) for x in range(1 << CANONICAL_MAX_VERTICES))
 def _wl_rounds(rows, n):
     """Refinement colors round by round, starting from degrees; each round
     refines the last (module docstring, 4), and the last is stable and
-    identical across isomorphic graphs."""
+    identical across isomorphic graphs.  A round ranks one integer key
+    per vertex in place of its sorted signature (10)."""
     nbrs = [_BITS[rows[v]] for v in range(n)]
     colors = [len(nb) for nb in nbrs]
+    digit = [n ** (n - 1 - c) for c in range(n)]
+    top = n**n
     while True:
         yield colors
-        sigs = [(colors[v], tuple(sorted(colors[u] for u in nbrs[v]))) for v in range(n)]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
+        weight = [digit[c] for c in colors]
+        keys = [colors[v] * top - sum(map(weight.__getitem__, nbrs[v])) for v in range(n)]
+        rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+        new = [rank[k] for k in keys]
         if new == colors:
             return
         colors = new
@@ -163,11 +195,28 @@ def _automorphism(rows, n, colors, src, dst, fixed=0):
 
 
 def _aut_generators(rows, n):
-    """Generators of Aut: for each i, one automorphism fixing 0..i-1 and
-    taking i to each v > i it can reach (stabiliser-chain transversals)."""
+    """Generators of Aut (module docstring, 3): for i from n-1 down, one
+    automorphism fixing 0..i-1 and taking i to each v > i outside the
+    orbit of i under the automorphisms kept so far."""
     *_, colors = _wl_rounds(rows, n)
-    found = (_automorphism(rows, n, colors, i, v, i) for i in range(n) for v in range(i + 1, n))
-    return [g for g in found if g is not None]
+    gens = []
+    for i in range(n - 2, -1, -1):
+        orbit = {i}
+        for v in range(i + 1, n):
+            if v in orbit:
+                continue
+            g = _automorphism(rows, n, colors, i, v, i)
+            if g is None:
+                continue
+            gens.append(g)
+            todo = list(orbit)
+            while todo:
+                x = todo.pop()
+                for h in gens:
+                    if h[x] not in orbit:
+                        orbit.add(h[x])
+                        todo.append(h[x])
+    return gens
 
 
 def _accept(child, n, w_set):
@@ -178,6 +227,10 @@ def _accept(child, n, w_set):
     new vertex's (8).
     """
     vnew = n - 1
+    # twins of m, m included, lie in its orbit (module docstring, 9)
+    twins = {w for w in w_set if child[vnew] & ~(1 << w) == child[w] & ~(1 << vnew)}
+    if len(twins) == len(w_set):
+        return True
     for colors in _wl_rounds(child, n):
         cmin = min(colors[w] for w in w_set)
         if colors[vnew] != cmin:
@@ -186,7 +239,9 @@ def _accept(child, n, w_set):
     if not w1:
         return True
     # m's orbit and the other tied vertices (module docstring, 7)
-    orbit = [vnew] + [w for w in w1 if _automorphism(child, n, colors, vnew, w) is not None]
+    orbit = [vnew] + [
+        w for w in w1 if w in twins or _automorphism(child, n, colors, vnew, w) is not None
+    ]
     others = [w for w in w1 if w not in orbit]
     if not others:
         return True
@@ -206,6 +261,13 @@ def _accept(child, n, w_set):
     return min(perm[w] for w in orbit) < min(perm[w] for w in tied)
 
 
+@cache
+def _subsets(m, cap):
+    """The nonempty subsets of range(m) with at most cap elements, as
+    masks in ascending order (module docstring, 6)."""
+    return tuple(s for s in range(1, 1 << m) if s.bit_count() <= cap)
+
+
 def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     m = len(parent)
     n = m + 1
@@ -219,21 +281,22 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     by_degree = [[w for w in order if pdeg[w] <= d] for d in range(cap + 1)]
     gens = [[1 << v for v in g] for g in _aut_generators(parent, m)]  # g[u]: bit of u's image
     marked = bytearray(1 << m)
-    for subset in range(1, 1 << m):
+    for subset in _subsets(m, cap):
+        if gens:  # with Aut(P) trivial every orbit is one subset (module docstring, 2)
+            if marked[subset]:
+                continue
+            marked[subset] = 1
+            todo = [subset]
+            while todo:
+                bits = _BITS[todo.pop()]
+                for g in gens:
+                    t = 0
+                    for u in bits:
+                        t |= g[u]
+                    if not marked[t]:
+                        marked[t] = 1
+                        todo.append(t)
         deg_new = subset.bit_count()
-        if deg_new > cap or marked[subset]:
-            continue
-        marked[subset] = 1
-        todo = [subset]
-        while todo:
-            bits = _BITS[todo.pop()]
-            for g in gens:
-                t = 0
-                for u in bits:
-                    t |= g[u]
-                if not marked[t]:
-                    marked[t] = 1
-                    todo.append(t)
         # m and the non-cut vertices of P+S of its degree whose first-round
         # signature equals m's; one of smaller degree or signature rejects
         # the subset, one of larger signature is dropped (module docstring,
@@ -242,7 +305,7 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         mine = None
         for w in by_degree[deg_new]:
             d = pdeg[w] + ((subset >> w) & 1)
-            if d > deg_new or not all(c & subset & ~(1 << w) for c in comps_per_w[w]):
+            if d > deg_new or not all(c & subset for c in comps_per_w[w]):
                 continue
             if d < deg_new:
                 break

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from functools import cache
 from itertools import permutations
 
@@ -209,7 +210,9 @@ class TestOrbitDedup:
 
 
 def reference_wl(rows, n):
+    """Every refinement round, each ranking (color, sorted neighbour colors)."""
     colors = [rows[v].bit_count() for v in range(n)]
+    rounds = [colors]
     while True:
         sigs = [
             (colors[v], tuple(sorted(colors[u] for u in iter_bits(rows[v]))))
@@ -218,13 +221,14 @@ def reference_wl(rows, n):
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [rank[s] for s in sigs]
         if new == colors:
-            return colors
+            return rounds
         colors = new
+        rounds.append(colors)
 
 
 def reference_accept(child, n, w_set):
     vnew = n - 1
-    colors = reference_wl(child, n)
+    colors = reference_wl(child, n)[-1]
     cmin = min(colors[w] for w in w_set)
     if colors[vnew] != cmin:
         return False
@@ -339,3 +343,55 @@ class TestEarlyRejection:
                         perm[v] for v in noncut if v != x and g.degree(v) == g.degree(x)
                     ]
                     assert _accept(child, n, w_set) == reference_accept(child, n, w_set), (g.rows, x)
+
+
+def random_rows(rng, n, p):
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return tuple(rows)
+
+
+def complete_rows(n):
+    return tuple(((1 << n) - 1) ^ (1 << v) for v in range(n))
+
+
+class TestCheaperAcceptance:
+    def test_wl_rounds_match_sorted_signatures(self):
+        graphs = [g.rows for n in range(1, 8) for g in enumerate_connected(n)]
+        rng = random.Random(20261019)
+        sample = []
+        for _ in range(2400):
+            n = rng.randint(1, 10)
+            sample.append(random_rows(rng, n, rng.choice([0.0, 0.1, 0.25, 0.5, 0.8])))
+        assert sum(1 for rows in sample if not any(rows)) >= 50
+        assert sum(1 for rows in sample if not is_connected(Graph(rows))) >= 500
+        for rows in graphs + sample:
+            assert list(_wl_rounds(rows, len(rows))) == reference_wl(rows, len(rows)), rows
+
+    @pytest.mark.parametrize(
+        "child, w_set",
+        [
+            (complete_rows(4), [3, 0, 1, 2]),  # adjacent twins
+            ((0b1110, 0b0001, 0b0001, 0b0001), [3, 1, 2]),  # star leaves
+            ((0b1010, 0b0101, 0b1010, 0b0101), [3, 1]),  # C_4, opposite corners
+        ],
+    )
+    def test_all_twin_ties_accept_without_refinement(self, monkeypatch, child, w_set):
+        def refuse(rows, n):
+            raise AssertionError("refined an all-twin input")
+
+        monkeypatch.setattr("speclab.enumerate._wl_rounds", refuse)
+        assert _accept(child, len(child), w_set)
+
+    def test_complete_graph_keeps_one_generator_per_level(self):
+        for n in range(2, 11):
+            assert len(_aut_generators(complete_rows(n), n)) == n - 1
+
+    def test_generator_count_at_most_n_minus_one(self):
+        for n in range(1, 8):
+            for g in enumerate_connected(n):
+                assert len(_aut_generators(g.rows, n)) <= n - 1, g.rows
