@@ -117,7 +117,6 @@ no decision because:
 from __future__ import annotations
 
 from functools import cache
-from itertools import islice
 from typing import Iterator
 
 from .errors import SizeLimitExceeded
@@ -332,29 +331,28 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 def enumerate_connected(n: int) -> Iterator[Graph]:
     """All connected graphs on n vertices, one per isomorphism class."""
-    return (Graph(rows) for _, rows in enumerate_connected_slice(n, 0, 1))
-
-
-def enumerate_connected_slice(n: int, part: int, parts: int) -> Iterator[tuple]:
-    """Slice `part` of `parts` of enumerate_connected(n), split by final
-    augmentation branch (children of every parts-th (n-1)-vertex parent),
-    as (parent rows, child rows) pairs.  Siblings come consecutively and
-    share one parent tuple, the child minus its last vertex (() at n = 1).
-
-    The slices are disjoint and their union over part = 0..parts-1 is
-    exactly enumerate_connected(n); slicing never changes which graphs
-    appear, only which worker produces them.
-    """
-    if parts < 1 or not 0 <= part < parts:
-        raise ValueError("need 0 <= part < parts")
     if n < 1:
         raise ValueError("n must be >= 1")
+    return map(Graph, connected_rows(n))
+
+
+def connected_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """The rows of enumerate_connected(n), in the same order, each level
+    built from the last; level 0 is the empty graph ()."""
     if n > CANONICAL_MAX_VERTICES:
         raise SizeLimitExceeded(
             f"enumeration limited to {CANONICAL_MAX_VERTICES} vertices, got {n}"
         )
-    if n == 1:
-        return iter([((), (0,))] if part == 0 else [])
-    level = (rows for _, rows in enumerate_connected_slice(n - 1, 0, 1))
-    parents = islice(level, part, None, parts)
-    return ((p, rows) for p in parents for rows in _children(p))
+    level = iter([()])
+    for _ in range(n):
+        level = (child for _, child in enumerate_connected_slice(level))
+    return level
+
+
+def enumerate_connected_slice(parents) -> Iterator[tuple]:
+    """The children of the graphs in parents, one level's rows, parent by
+    parent, as (parent rows, child rows) pairs; the empty graph () has
+    the one child (0,).  Siblings come consecutively and share one parent
+    tuple.  The name outlives the slicing by workers: perfbench/spans.py
+    wraps search.enumerate_connected_slice and counts classes through it."""
+    return ((p, rows) for p in parents for rows in (_children(p) if p else [(0,)]))

@@ -43,7 +43,7 @@ import re
 import time
 from dataclasses import dataclass, fields
 
-from .enumerate import enumerate_connected, enumerate_connected_slice
+from .enumerate import connected_rows, enumerate_connected, enumerate_connected_slice
 from .errors import BudgetExhausted, VerificationFailed
 from .families import FamilySpec, construct, expected_edge_count
 from .graph import Graph, canonical_code
@@ -141,7 +141,7 @@ def predicted_spec(constraint: str, n: int) -> FamilySpec:
     return FamilySpec("kt-join-matching", t=param, n=n)
 
 
-def _scan(n, constraint, budget, part, parts):
+def _scan(parents, constraint, budget):
     family, relation, param = parse_constraint(constraint)
     enumerated = 0
     feasible = 0
@@ -151,7 +151,7 @@ def _scan(n, constraint, budget, part, parts):
     # the last parent tested; the stream yields siblings consecutively.
     # At n = 1 the parent is the empty graph, which holds no pattern.
     tested, parent_status = (), NOT_FOUND
-    for parent, rows in enumerate_connected_slice(n, part, parts):
+    for parent, rows in enumerate_connected_slice(parents):
         enumerated += 1
         if parent != tested:
             tested = parent
@@ -197,7 +197,8 @@ def extremal_search(
 ) -> SearchReport:
     """Maximize rho over connected n-vertex graphs passing the constraint.
 
-    Workers split the stream by final augmentation branch; the merge is
+    With more workers, each scans the children of its share of level
+    n-1, which the search walks once and deals round-robin; the merge is
     associative, so any worker count yields the identical report.  Every
     graph within RECHECK_WINDOW of the best radius is recomputed by a
     dense eigensolver, and a disagreement raises VerificationFailed.  A
@@ -217,14 +218,15 @@ def extremal_search(
     g_pred, _ = construct(predicted_spec(constraint, n))
     pred_g6 = canonical_code(g_pred).decode("ascii")
     if workers == 1:
-        partials = [_scan(n, constraint, node_budget, 0, 1)]
+        partials = [_scan(connected_rows(n - 1), constraint, node_budget)]
     else:
+        parents = list(connected_rows(n - 1))
         # the workers compute radii; importing numpy once before the fork
         # costs less than one import in every worker
         import numpy  # noqa: F401
 
         ctx = multiprocessing.get_context("fork")
-        jobs = [(n, constraint, node_budget, i, workers) for i in range(workers)]
+        jobs = [(parents[i::workers], constraint, node_budget) for i in range(workers)]
         with ctx.Pool(workers) as pool:
             partials = pool.starmap(_scan, jobs)
     enumerated = sum(p[0] for p in partials)

@@ -12,6 +12,7 @@ from speclab.enumerate import (
     _automorphism,
     _children,
     _wl_rounds,
+    connected_rows,
     enumerate_connected,
     enumerate_connected_slice,
 )
@@ -116,23 +117,32 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", [6, 7])
     @pytest.mark.parametrize("parts", [2, 3])
     def test_slices_partition(self, n, parts):
-        full = [g.rows for g in enumerate_connected(n)]
-        sliced = [rows for k in range(parts) for _, rows in enumerate_connected_slice(n, k, parts)]
+        full = list(connected_rows(n))
+        level = list(connected_rows(n - 1))
+        sliced = []
+        for k in range(parts):
+            part = [rows for _, rows in enumerate_connected_slice(level[k::parts])]
+            # each slice keeps stream order
+            assert part == sorted(part, key=full.index)
+            sliced += part
         assert sorted(sliced) == sorted(full)
 
     def test_slice_limits(self):
-        for part, parts in [(0, 0), (2, 2), (-1, 2)]:
-            with pytest.raises(ValueError):
-                enumerate_connected_slice(5, part, parts)
-        assert [rows for _, rows in enumerate_connected_slice(1, 1, 2)] == []
-        assert list(enumerate_connected_slice(1, 0, 2)) == [((), (0,))]
+        with pytest.raises(ValueError):
+            enumerate_connected(0)
+        with pytest.raises(SizeLimitExceeded):
+            connected_rows(CANONICAL_MAX_VERTICES + 1)
+        assert list(enumerate_connected_slice([()])) == [((), (0,))]
+        assert list(enumerate_connected_slice([])) == []
+        assert list(connected_rows(0)) == [()]
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     def test_slice_hands_each_child_its_parent(self, parts):
         for n in range(1, 8):
             low = (1 << (n - 1)) - 1
+            level = list(connected_rows(n - 1))
             for part in range(parts):
-                pairs = list(enumerate_connected_slice(n, part, parts))
+                pairs = list(enumerate_connected_slice(level[part::parts]))
                 for parent, child in pairs:
                     assert parent == tuple(r & low for r in child[:-1])
                 # siblings come consecutively and share one parent tuple

@@ -2,13 +2,14 @@ import dataclasses
 import functools
 import json
 import math
+import multiprocessing
 
 import pytest
 
 from speclab.errors import BudgetExhausted, InvalidSpec, VerificationFailed
 from speclab.families import FamilySpec, construct
 from speclab.graph import Graph, canonical_code, g6_decode, is_connected
-from speclab import search
+from speclab import enumerate as enumeration, search
 from speclab.enumerate import enumerate_connected
 from speclab.minor import (
     DEFAULT_NODE_BUDGET,
@@ -136,6 +137,14 @@ PARENT_RULE_CASES = [
     for p in (1, 2)
     for n in range(p + 1, 9 if p == 1 else 8)  # the join needs p < n
 ] + [("fs-minor-free:s=2", 5, 5), ("fs-minor-free:s=2", 6, 5)]
+
+# feasible counts at n = 2..8 from independent tables: triangle-minor-free
+# connected graphs are the unlabeled trees (OEIS A000055), triangle-free
+# connected graphs are OEIS A024607
+OEIS_FEASIBLE = {
+    "fs-minor-free:s=1": [1, 1, 2, 3, 6, 11, 23],
+    "fs-subgraph-free:s=1": [1, 1, 3, 6, 19, 59, 267],
+}
 
 
 class TestConstraintParsing:
@@ -272,6 +281,30 @@ class TestExtremalSearch:
                 include_elapsed=False
             )
 
+    def test_workers_walk_the_level_below_once(self, monkeypatch):
+        calls = multiprocessing.Value("i", 0)  # made before the fork, shared
+        real = enumeration._children
+
+        def counted(parent):
+            with calls.get_lock():
+                calls.value += 1
+            return real(parent)
+
+        monkeypatch.setattr(enumeration, "_children", counted)
+        counts = []
+        for workers in (1, 2, 3):
+            calls.value = 0
+            extremal_search(7, "fs-minor-free:s=1", workers=workers)
+            counts.append(calls.value)
+        # one call per connected graph on 1..6 vertices
+        assert counts == [sum(len(connected(k)) for k in range(1, 7))] * 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("constraint", sorted(OEIS_FEASIBLE))
+    def test_feasible_counts_match_oeis(self, constraint, workers):
+        got = [extremal_search(n, constraint, workers=workers).feasible for n in range(2, 9)]
+        assert got == OEIS_FEASIBLE[constraint]
+
     def test_radius_disagreeing_with_eigvalsh_raises(self, monkeypatch):
         def perturbed(g):
             r = spectral_radius(g)
@@ -290,6 +323,7 @@ class TestExtremalSearch:
             raise AssertionError("enumerated before the predicted join was built")
 
         monkeypatch.setattr(search, "enumerate_connected_slice", no_scan)
+        monkeypatch.setattr(search, "connected_rows", no_scan)
         for workers in (1, 2):
             with pytest.raises(InvalidSpec, match="1 <= s < n"):
                 extremal_search(8, "fs-subgraph-free:s=8", workers=workers)
