@@ -112,6 +112,29 @@ no decision because:
     u = sum of c_k n^(n-1-k) orders the lists in reverse, and S < n^n.
     So ranking color(v) n^n - S gives the ranks of the signatures of 4,
     round by round, without sorting a list per vertex.
+
+Three more shortcuts skip work whose outcome is already decided:
+
+11. Let low be the least degree of a non-cut vertex of P, so cap =
+    low + 1 (6), and let W be the non-cut vertices of P of degree low.
+    A subset S of cap elements that misses some w in W leaves w non-cut
+    in P+S (P-w is connected and holds S), with degree low < |S|, so 5
+    rejects S.  _children skips such subsets before marking them.
+    Automorphisms of P map W onto W and keep |S|, so the skipped subsets
+    form whole orbits; as in 6, leaving them out touches no mark of a
+    walked orbit, and by 2 the walk tests the same subsets.
+12. Automorphisms keep stable colors, so _aut_generators skips every v
+    whose color differs from i's without an _automorphism query.  When i
+    and v are twins (N(i) minus v equals N(v) minus i), the transposition
+    (i v) is an automorphism; it moves only i and v, so with v > i it
+    fixes 0..i-1 and is a t of 3, taken without a search.
+13. The component test of 5 fails for a non-cut vertex w of P only when
+    S misses P-w, which is connected (empty when P has one vertex), so
+    only when S = {w}.  Then |S| = 1 while w has degree deg_P(w) + 1 >= 2
+    in P+S, since a connected P on two or more vertices has no isolated
+    vertex, so the scan of 5 has already skipped w for its degree.
+    _children therefore runs the component test only for cut vertices
+    of P.
 """
 
 from __future__ import annotations
@@ -202,11 +225,15 @@ def _aut_generators(rows, n):
     for i in range(n - 2, -1, -1):
         orbit = {i}
         for v in range(i + 1, n):
-            if v in orbit:
+            if v in orbit or colors[v] != colors[i]:
                 continue
-            g = _automorphism(rows, n, colors, i, v, i)
-            if g is None:
-                continue
+            if rows[i] & ~(1 << v) == rows[v] & ~(1 << i):
+                g = list(range(n))  # twins: the transposition (i v) (12)
+                g[i], g[v] = v, i
+            else:
+                g = _automorphism(rows, n, colors, i, v, i)
+                if g is None:
+                    continue
             gens.append(g)
             todo = list(orbit)
             while todo:
@@ -272,15 +299,26 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     n = m + 1
     bit_new = 1 << m
     nbrs = [_BITS[r] for r in parent]
-    comps_per_w = [component_masks(parent, (bit_new - 1) ^ (1 << w)) for w in range(m)]
+    # splits[w]: the components of P-w for a cut vertex w, () for a
+    # non-cut one, which the component test of 5 never rejects once its
+    # degree is at most |S| (module docstring, 13)
+    splits = [component_masks(parent, (bit_new - 1) ^ (1 << w)) for w in range(m)]
+    splits = [comps if len(comps) > 1 else () for comps in splits]
     pdeg = [len(nb) for nb in nbrs]
-    cap = 1 + min(pdeg[w] for w in range(m) if len(comps_per_w[w]) <= 1)
+    low = min(pdeg[w] for w in range(m) if not splits[w])
+    cap = 1 + low
+    # the least-degree non-cut vertices, all in every walked subset of
+    # cap elements (11)
+    must = sum(1 << w for w in range(m) if not splits[w] and pdeg[w] == low)
     # by_degree[d]: P's vertices of degree <= d, by ascending degree
     order = sorted(range(m), key=pdeg.__getitem__)
     by_degree = [[w for w in order if pdeg[w] <= d] for d in range(cap + 1)]
     gens = [[1 << v for v in g] for g in _aut_generators(parent, m)]  # g[u]: bit of u's image
     marked = bytearray(1 << m)
     for subset in _subsets(m, cap):
+        deg_new = subset.bit_count()
+        if deg_new == cap and subset & must != must:
+            continue
         if gens:  # with Aut(P) trivial every orbit is one subset (module docstring, 2)
             if marked[subset]:
                 continue
@@ -295,7 +333,6 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
                     if not marked[t]:
                         marked[t] = 1
                         todo.append(t)
-        deg_new = subset.bit_count()
         # m and the non-cut vertices of P+S of its degree whose first-round
         # signature equals m's; one of smaller degree or signature rejects
         # the subset, one of larger signature is dropped (module docstring,
@@ -304,7 +341,7 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         mine = None
         for w in by_degree[deg_new]:
             d = pdeg[w] + ((subset >> w) & 1)
-            if d > deg_new or not all(c & subset for c in comps_per_w[w]):
+            if d > deg_new or splits[w] and not all(c & subset for c in splits[w]):
                 continue
             if d < deg_new:
                 break
@@ -336,16 +373,31 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
     return map(Graph, connected_rows(n))
 
 
-def connected_rows(n: int) -> Iterator[tuple[int, ...]]:
+def connected_rows(n: int, holds=None):
     """The rows of enumerate_connected(n), in the same order, each level
-    built from the last; level 0 is the empty graph ()."""
+    built from the last; level 0 is the empty graph ().
+
+    Given holds, a test on rows, the level comes as a list of (rows,
+    inherited) pairs instead, where inherited says that holds is true of
+    an ancestor: the graph less its last k >= 1 vertices, which is the
+    graph the walk built k levels earlier, with the same labels.  holds
+    runs level by level in stream order, once on each graph of levels
+    1..n-1 with no such ancestor, and never on level n."""
     if n > CANONICAL_MAX_VERTICES:
         raise SizeLimitExceeded(
             f"enumeration limited to {CANONICAL_MAX_VERTICES} vertices, got {n}"
         )
-    level = iter([()])
-    for _ in range(n):
-        level = (child for _, child in enumerate_connected_slice(level))
+    if holds is None:
+        level = iter([()])
+        for _ in range(n):
+            level = (child for _, child in enumerate_connected_slice(level))
+        return level
+    level = [((), False)]  # the empty graph has no ancestor
+    for k in range(1, n + 1):
+        inherited = dict(level)
+        level = [(rows, inherited[p]) for p, rows in enumerate_connected_slice(inherited)]
+        if k < n:
+            level = [(rows, found or holds(rows)) for rows, found in level]
     return level
 
 

@@ -13,24 +13,30 @@ of a graph is the max over its components, and the winning component is
 itself a member), so disconnected hosts never beat the connected best.
 This is cross-checked against an all-graphs scan at n <= 6 in the tests.
 
-The walk hands over each graph G with the parent P it was built from,
-G minus its last vertex n-1.  P is tested once, and every child of a
-parent found to contain the pattern is counted as containing it without
-a test of its own.  Soundness: P is an induced subgraph of G with the
-same labels.  A minor model of the pattern in P is a family of disjoint
-connected branch sets in P with a P-edge behind every pattern edge;
-adding a vertex and its edges deletes no vertex or edge, so the same
+Containment of the pattern passes from a graph to every graph that
+contains it, and the walk builds each graph G on top of its ancestors:
+G minus its last k >= 1 vertices is the graph built k levels earlier.
+Soundness: an ancestor A is an induced subgraph of G with the same
+labels.  A minor model of the pattern in A is a family of disjoint
+connected branch sets in A with an A-edge behind every pattern edge;
+adding vertices and their edges deletes no vertex or edge, so the same
 sets are disjoint, connected and joined by the same edges in G, and
-verify_model accepts them there.  A subgraph witness is a set of P-edges
-and stays one in G.  So found in P implies found in G for all four
-constraints.  The argument deletes an arbitrary vertex, so it does not
-rest on how the enumeration builds G from P; that P is the parent only
-makes consecutive siblings share one test.  A not_found parent says
-nothing about its children, and an exhausted one settles nothing, so
-their children are tested as before.  Feasible sets, radii and
-maximizers are therefore unchanged; exhausted_count can only fall, and
-only for a graph whose own test would run out of budget while its
-parent has a certified model.
+verify_model accepts them there.  A subgraph witness is a set of A-edges
+and stays one in G.  So found in A implies found in G for all four
+constraints.  The argument deletes arbitrary vertices, so it does not
+rest on how the enumeration builds G from A; that A is an ancestor only
+lets one test settle a whole subtree of the walk.
+
+The search therefore walks levels 1..n-2 once, testing a graph only
+when no ancestor was found to hold the pattern, and hands level n-1 on
+as (rows, inherited) pairs, inherited true when an ancestor holds it.
+Each scan tests its unsettled level-(n-1) parents once per run of
+siblings, after the fork, and counts every child of a found parent as
+found without a test.  A not_found ancestor says nothing about its
+descendants, and an exhausted one settles nothing, so their children are
+tested as before.  Feasible sets, radii and maximizers are therefore
+unchanged; exhausted_count can only fall, and only for a graph whose own
+test would run out of budget while an ancestor has a certified model.
 """
 
 from __future__ import annotations
@@ -142,22 +148,27 @@ def predicted_spec(constraint: str, n: int) -> FamilySpec:
 
 
 def _scan(parents, constraint, budget):
+    """Test and rank the children of parents, (rows, inherited) pairs of
+    one level (module docstring)."""
     family, relation, param = parse_constraint(constraint)
+    inherited = dict(parents)
     enumerated = 0
     feasible = 0
     exhausted = 0
     best = None
     keep: list[tuple[float, tuple[int, ...]]] = []
-    # the last parent tested; the stream yields siblings consecutively.
+    # the last parent settled; the stream yields siblings consecutively.
     # At n = 1 the parent is the empty graph, which holds no pattern.
-    tested, parent_status = (), NOT_FOUND
-    for parent, rows in enumerate_connected_slice(parents):
+    settled, parent_found = (), False
+    for parent, rows in enumerate_connected_slice(inherited):
         enumerated += 1
-        if parent != tested:
-            tested = parent
-            parent_status = _test_graph(Graph(parent), family, relation, param, budget)
-        if parent_status == FOUND:
-            continue  # the parent's model is a model in g (module docstring)
+        if parent != settled:
+            settled = parent
+            parent_found = inherited[parent] or (
+                _test_graph(Graph(parent), family, relation, param, budget) == FOUND
+            )
+        if parent_found:
+            continue  # an ancestor's model is a model in g (module docstring)
         g = Graph(rows)
         status = _test_graph(g, family, relation, param, budget)
         if status == EXHAUSTED:
@@ -202,9 +213,9 @@ def extremal_search(
     associative, so any worker count yields the identical report.  Every
     graph within RECHECK_WINDOW of the best radius is recomputed by a
     dense eigensolver, and a disagreement raises VerificationFailed.  A
-    graph is exhausted when its own test hits the node budget and its
-    parent has no certified model (a parent's model already settles the
-    graph; module docstring).  Exhausted graphs are dropped from the
+    graph is exhausted when its own test hits the node budget and no
+    ancestor has a certified model (an ancestor's model already settles
+    the graph; module docstring).  Exhausted graphs are dropped from the
     feasible set and counted in exhausted_count, and any nonzero
     exhausted_count forces match to false: the maximizer set is then not
     certified complete.
@@ -217,10 +228,15 @@ def extremal_search(
     # built first, so a join its spec rules out (s >= n) fails before the scan
     g_pred, _ = construct(predicted_spec(constraint, n))
     pred_g6 = canonical_code(g_pred).decode("ascii")
+    family, relation, param = parse_constraint(constraint)
+
+    def holds(rows):
+        return _test_graph(Graph(rows), family, relation, param, node_budget) == FOUND
+
+    parents = connected_rows(n - 1, holds)
     if workers == 1:
-        partials = [_scan(connected_rows(n - 1), constraint, node_budget)]
+        partials = [_scan(parents, constraint, node_budget)]
     else:
-        parents = list(connected_rows(n - 1))
         # the workers compute radii; importing numpy once before the fork
         # costs less than one import in every worker
         import numpy  # noqa: F401

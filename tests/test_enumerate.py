@@ -280,33 +280,20 @@ def reference_accept(child, n, w_set):
 
 def reference_children(parent):
     """The sibling loop without early rejection: every subset, orbit
-    marking, the full non-cut set, then the degree test and a full
-    refinement."""
+    marking by the whole automorphism group found by brute force, the
+    full non-cut set, then the degree test and a full refinement."""
     m = len(parent)
     n = m + 1
     bit_new = 1 << m
     comps_per_w = [component_masks(parent, ((1 << m) - 1) ^ (1 << w)) for w in range(m)]
     pdeg = [parent[w].bit_count() for w in range(m)]
-    images = []
-    for g in _aut_generators(parent, m):
-        img = [0]
-        for u in range(m):
-            bit = 1 << g[u]
-            img += [s | bit for s in img]
-        images.append(img)
+    group = brute_force_aut(Graph(parent))
     marked = bytearray(1 << m)
     for subset in range(1, 1 << m):
         if marked[subset]:
             continue
-        marked[subset] = 1
-        todo = [subset]
-        while todo:
-            s = todo.pop()
-            for img in images:
-                t = img[s]
-                if not marked[t]:
-                    marked[t] = 1
-                    todo.append(t)
+        for p in group:
+            marked[sum(1 << p[u] for u in iter_bits(subset))] = 1
         child = list(parent)
         for i in iter_bits(subset):
             child[i] |= bit_new

@@ -117,6 +117,12 @@ def reference_search(n, constraint, budget):
     return statuses, report
 
 
+def prefix(rows, k):
+    """The graph on the first k vertices of rows; for k < len(rows), the
+    ancestor the walk built len(rows) - k levels before rows."""
+    return tuple(r & ((1 << k) - 1) for r in rows[:k])
+
+
 def record_tests(monkeypatch):
     """Rows of every graph search._test_graph is called on, in call order."""
     calls = []
@@ -314,6 +320,19 @@ class TestExtremalSearch:
         with pytest.raises(VerificationFailed, match="eigvalsh"):
             extremal_search(6, "fs-minor-free:s=1")
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "constraint,feasible", [("fs-minor-free:s=1", 47), ("fs-subgraph-free:s=1", 1380)]
+    )
+    def test_feasible_counts_match_oeis_n9(self, constraint, feasible):
+        # OEIS A000055 and A024607 at n = 9, one level past OEIS_FEASIBLE
+        serial = extremal_search(9, constraint)
+        assert serial.enumerated == 261080
+        assert serial.feasible == feasible
+        assert serial.exhausted_count == 0
+        par = extremal_search(9, constraint, workers=2)
+        assert par.to_json(include_elapsed=False) == serial.to_json(include_elapsed=False)
+
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError):
             extremal_search(5, "fs-minor-free:s=1", workers=0)
@@ -349,22 +368,57 @@ class TestParentRule:
         assert par.to_json(include_elapsed=False) == text
 
     def test_each_parent_is_tested_once(self, monkeypatch):
+        # the ancestor rule: a graph on k vertices is tested, once, iff
+        # none of its prefixes on j < k vertices holds the pattern
         n, constraint = 7, "fs-minor-free:s=1"
         family, relation, param = parse_constraint(constraint)
-        low = (1 << (n - 1)) - 1
-        # each graph minus its last vertex, the parent it was augmented from
-        parents = [tuple(r & low for r in g.rows[:-1]) for g in connected(n)]
-        firsts = [p for i, p in enumerate(parents) if i == 0 or p != parents[i - 1]]
-        assert len(firsts) == len(set(firsts))  # siblings come consecutively
-        status = {
-            p: search._test_graph(Graph(p), family, relation, param, DEFAULT_NODE_BUDGET)
-            for p in firsts
+        graphs = [g.rows for k in range(1, n + 1) for g in connected(k)]
+        found = {
+            rows: search._test_graph(Graph(rows), family, relation, param, DEFAULT_NODE_BUDGET)
+            == FOUND
+            for rows in graphs
         }
-        want = len(firsts) + sum(status[p] != FOUND for p in parents)
+        tested = [
+            rows
+            for rows in graphs
+            if not any(found[prefix(rows, j)] for j in range(1, len(rows)))
+        ]
+        want = len(tested)
         calls = record_tests(monkeypatch)
         extremal_search(n, constraint)
-        assert len(calls) == want
+        assert len(calls) == want == 30  # the parent rule tested 124
+        assert sorted(calls) == sorted(tested)
+        # fewer tests than graphs at level n, each of which has a parent
+        parents = [prefix(g.rows, n - 1) for g in connected(n)]
         assert want < len(parents)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_ancestor_model_settles_exhausted_graphs(self, workers):
+        # budget 12: some graphs on 7 vertices run out of budget, and so do
+        # their parents, while an earlier ancestor has a certified F_2 model
+        n, constraint, budget = 7, "fs-minor-free:s=2", 12
+        family, relation, param = parse_constraint(constraint)
+        status = {
+            g.rows: search._test_graph(g, family, relation, param, budget)
+            for k in range(1, n + 1)
+            for g in connected(k)
+        }
+
+        def exhausted(ancestors):
+            return sum(
+                status[g.rows] == EXHAUSTED
+                and not any(status[prefix(g.rows, j)] == FOUND for j in ancestors)
+                for g in connected(n)
+            )
+
+        _, want = reference_search(n, constraint, budget)
+        by_parent = exhausted([n - 1])
+        by_ancestor = exhausted(range(1, n))
+        assert by_ancestor < by_parent < want.exhausted_count
+        got = extremal_search(n, constraint, budget, workers=workers)
+        assert got.exhausted_count == by_ancestor
+        want = dataclasses.replace(want, exhausted_count=by_ancestor)
+        assert got.to_json(include_elapsed=False) == want.to_json(include_elapsed=False)
 
 
 class TestVerifyTheorem:
