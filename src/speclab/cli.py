@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -116,9 +117,12 @@ def _read_g6_arg(value: str) -> Graph:
 
 def _parse_indices(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        indices = [int(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
         raise _UsageError(f"bad vertex list {text!r}")
+    if len(set(indices)) < len(indices):
+        raise _UsageError(f"repeated vertex in {text!r}")
+    return indices
 
 
 _PATTERN_RE = re.compile(r"^(fs:s|qt:t)=(\d+)$")
@@ -300,6 +304,8 @@ def _cmd_verify(args):
 
 
 def _cmd_audit(args):
+    if args.c_constant is not None and not math.isfinite(args.c_constant):
+        raise _UsageError("c-constant must be finite")
     specs = [parse_family_spec(text) for text in args.family]
     param = args.param
     if param is None:

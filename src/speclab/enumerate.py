@@ -374,37 +374,33 @@ def enumerate_connected(n: int) -> Iterator[Graph]:
 
 
 def connected_rows(n: int, holds=None):
-    """The rows of enumerate_connected(n), in the same order, each level
-    built from the last; level 0 is the empty graph ().
-
-    Given holds, a test on rows, the level comes as a list of (rows,
-    inherited) pairs instead, where inherited says that holds is true of
-    an ancestor: the graph less its last k >= 1 vertices, which is the
-    graph the walk built k levels earlier, with the same labels.  holds
-    runs level by level in stream order, once on each graph of levels
-    1..n-1 with no such ancestor, and never on level n."""
+    """The rows of enumerate_connected(n), in the same order, from a lazy
+    chain of n slices that starts at level 0, the empty graph ().  Given
+    holds, a test on rows, it yields (rows, inherited) pairs instead, with
+    inherited true when holds is true of an ancestor: the graph less its
+    last k >= 1 vertices, built k levels earlier with the same labels.
+    holds runs once on each graph of levels 1..n-1 with no such ancestor,
+    as the chain reaches it, and never on level n."""
     if n > CANONICAL_MAX_VERTICES:
         raise SizeLimitExceeded(
             f"enumeration limited to {CANONICAL_MAX_VERTICES} vertices, got {n}"
         )
-    if holds is None:
-        level = iter([()])
-        for _ in range(n):
-            level = (child for _, child in enumerate_connected_slice(level))
-        return level
     level = [((), False)]  # the empty graph has no ancestor
-    for k in range(1, n + 1):
-        inherited = dict(level)
-        level = [(rows, inherited[p]) for p, rows in enumerate_connected_slice(inherited)]
-        if k < n:
-            level = [(rows, found or holds(rows)) for rows, found in level]
-    return level
+    for _ in range(n):
+        level = enumerate_connected_slice(level, holds)
+    return level if holds is not None else (rows for rows, _ in level)
 
 
-def enumerate_connected_slice(parents) -> Iterator[tuple]:
-    """The children of the graphs in parents, one level's rows, parent by
-    parent, as (parent rows, child rows) pairs; the empty graph () has
-    the one child (0,).  Siblings come consecutively and share one parent
-    tuple.  The name outlives the slicing by workers: perfbench/spans.py
-    wraps search.enumerate_connected_slice and counts classes through it."""
-    return ((p, rows) for p in parents for rows in (_children(p) if p else [(0,)]))
+def enumerate_connected_slice(level, holds=None) -> Iterator[tuple]:
+    """The next level, as (rows, inherited) pairs like those of level, the
+    children parent by parent; the empty graph () has the one child (0,).
+    A child inherits when its parent did or holds, if given, is true of
+    the parent; holds runs once on each nonempty parent that did not
+    inherit, just before its first child.  perfbench/spans.py counts
+    classes through search.enumerate_connected_slice, so the name
+    outlives the slicing by workers."""
+    for parent, inherited in level:
+        if parent and holds is not None and not inherited:
+            inherited = holds(parent)
+        for rows in _children(parent) if parent else [(0,)]:
+            yield rows, inherited

@@ -27,21 +27,22 @@ constraints.  The argument deletes arbitrary vertices, so it does not
 rest on how the enumeration builds G from A; that A is an ancestor only
 lets one test settle a whole subtree of the walk.
 
-The search therefore walks levels 1..n-2 once, testing a graph only
-when no ancestor was found to hold the pattern, and hands level n-1 on
-as (rows, inherited) pairs, inherited true when an ancestor holds it.
-Each scan tests its unsettled level-(n-1) parents once per run of
-siblings, after the fork, and counts every child of a found parent as
-found without a test.  A not_found ancestor says nothing about its
-descendants, and an exhausted one settles nothing, so their children are
-tested as before.  Feasible sets, radii and maximizers are therefore
-unchanged; exhausted_count can only fall, and only for a graph whose own
-test would run out of budget while an ancestor has a certified model.
+The walk therefore carries each graph's verdict down the levels as
+(rows, inherited) pairs, inherited true when an ancestor holds the
+pattern.  enumerate_connected_slice tests a parent that did not inherit
+once, just before its first child, and hands every child the verdict;
+the scan only tests and ranks the level-n graphs that did not inherit.
+A not_found ancestor says nothing about its descendants, and an
+exhausted one settles nothing, so their children are tested as before.
+Feasible sets, radii and maximizers are therefore unchanged;
+exhausted_count can only fall, and only for a graph whose own test
+would run out of budget while an ancestor has a certified model.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import multiprocessing
@@ -147,30 +148,25 @@ def predicted_spec(constraint: str, n: int) -> FamilySpec:
     return FamilySpec("kt-join-matching", t=param, n=n)
 
 
-def _scan(parents, constraint, budget):
+def _holds(family, relation, param, budget, rows):
+    """Is the pattern found in the graph with these rows?  Bound to the
+    parsed constraint with functools.partial, this is the walk's holds."""
+    return _test_graph(Graph(rows), family, relation, param, budget) == FOUND
+
+
+def _scan(parents, holds):
     """Test and rank the children of parents, (rows, inherited) pairs of
-    one level (module docstring)."""
-    family, relation, param = parse_constraint(constraint)
-    inherited = dict(parents)
-    enumerated = 0
-    feasible = 0
-    exhausted = 0
+    one level.  holds is _holds bound to the constraint; the walk tests
+    the parents with it, and the scan each child with its arguments."""
+    enumerated = feasible = exhausted = 0
     best = None
     keep: list[tuple[float, tuple[int, ...]]] = []
-    # the last parent settled; the stream yields siblings consecutively.
-    # At n = 1 the parent is the empty graph, which holds no pattern.
-    settled, parent_found = (), False
-    for parent, rows in enumerate_connected_slice(inherited):
+    for rows, inherited in enumerate_connected_slice(parents, holds):
         enumerated += 1
-        if parent != settled:
-            settled = parent
-            parent_found = inherited[parent] or (
-                _test_graph(Graph(parent), family, relation, param, budget) == FOUND
-            )
-        if parent_found:
+        if inherited:
             continue  # an ancestor's model is a model in g (module docstring)
         g = Graph(rows)
-        status = _test_graph(g, family, relation, param, budget)
+        status = _test_graph(g, *holds.args)
         if status == EXHAUSTED:
             exhausted += 1
             continue
@@ -183,7 +179,7 @@ def _scan(parents, constraint, budget):
             keep = [kr for kr in keep if kr[0] >= best - RECHECK_WINDOW]
         if rho >= best - RECHECK_WINDOW:
             keep.append((rho, rows))
-    return enumerated, feasible, exhausted, best, keep
+    return enumerated, feasible, exhausted, keep
 
 
 def _recheck_radii(entries):
@@ -208,8 +204,8 @@ def extremal_search(
 ) -> SearchReport:
     """Maximize rho over connected n-vertex graphs passing the constraint.
 
-    With more workers, each scans the children of its share of level
-    n-1, which the search walks once and deals round-robin; the merge is
+    With more workers, each tests and extends its share of level n-1,
+    which the search lists once and deals round-robin; the merge is
     associative, so any worker count yields the identical report.  Every
     graph within RECHECK_WINDOW of the best radius is recomputed by a
     dense eigensolver, and a disagreement raises VerificationFailed.  A
@@ -228,31 +224,30 @@ def extremal_search(
     # built first, so a join its spec rules out (s >= n) fails before the scan
     g_pred, _ = construct(predicted_spec(constraint, n))
     pred_g6 = canonical_code(g_pred).decode("ascii")
-    family, relation, param = parse_constraint(constraint)
-
-    def holds(rows):
-        return _test_graph(Graph(rows), family, relation, param, node_budget) == FOUND
-
+    holds = functools.partial(_holds, *parse_constraint(constraint), node_budget)
     parents = connected_rows(n - 1, holds)
     if workers == 1:
-        partials = [_scan(parents, constraint, node_budget)]
+        partials = [_scan(parents, holds)]
     else:
+        # walk first: importing numpy starts a BLAS thread that spins for a
+        # while, and the walk measured slower beside it
+        parents = list(parents)
         # the workers compute radii; importing numpy once before the fork
         # costs less than one import in every worker
         import numpy  # noqa: F401
 
         ctx = multiprocessing.get_context("fork")
-        jobs = [(parents[i::workers], constraint, node_budget) for i in range(workers)]
+        jobs = [(parents[i::workers], holds) for i in range(workers)]
         with ctx.Pool(workers) as pool:
             partials = pool.starmap(_scan, jobs)
     enumerated = sum(p[0] for p in partials)
     feasible = sum(p[1] for p in partials)
     exhausted = sum(p[2] for p in partials)
-    bests = [p[3] for p in partials if p[3] is not None]
-    best = max(bests) if bests else None
+    keep = [e for p in partials for e in p[3]]
+    best = max((rho for rho, _ in keep), default=None)
     maximizers: tuple[str, ...] = ()
     if best is not None:
-        near = [e for p in partials for e in p[4] if e[0] >= best - RECHECK_WINDOW]
+        near = [e for e in keep if e[0] >= best - RECHECK_WINDOW]
         _recheck_radii(near)
         tied = (rows for rho, rows in near if rho >= best - TIE_TOLERANCE)
         maximizers = tuple(sorted(canonical_code(Graph(rows)).decode("ascii") for rows in tied))

@@ -150,6 +150,19 @@ class TestExitCodes:
         assert invoke(capsys, ["minor", "--pattern", "fs:s=2", "--host", "!!!"])[0] == 1
         assert invoke(capsys, ["lemmas", "--check", "l99", "--host", "Bw", "--A", "0"])[0] == 1
 
+    def test_repeated_vertex_is_usage_error(self, capsys):
+        # a repeated hub made the default --param of l34 count it twice
+        for check, flags in [("l34", "--A=0,0"), ("l33", "--A=0,0"), ("l33", "--A=0 --B=1,1")]:
+            argv = ["lemmas", "--check", check, "--host", "DQo", *flags.split()]
+            code, out, err = invoke(capsys, argv)
+            assert (code, out) == (1, "")
+            assert "repeated vertex" in err
+
+    def test_non_finite_c_constant_is_usage_error(self, capsys):
+        for value in ("nan", "inf", "-inf"):
+            argv = ["audit", "--family", "complete-bipartite:a=2,b=3", f"--c-constant={value}"]
+            assert invoke(capsys, argv) == (1, "", "speclab: c-constant must be finite\n")
+
     def test_help_exits_zero(self, capsys):
         assert invoke(capsys, ["--help"])[0] == 0
         assert invoke(capsys, ["search", "--help"])[0] == 0

@@ -1,10 +1,11 @@
 import hashlib
 import random
-from functools import cache
+from functools import cache, partial
 from itertools import permutations
 
 import pytest
 
+from speclab import enumerate as enumeration, search
 from speclab.enumerate import (
     _BITS,
     _accept,
@@ -26,6 +27,8 @@ from speclab.graph import (
     is_connected,
     iter_bits,
 )
+from speclab.minor import DEFAULT_NODE_BUDGET
+from speclab.search import parse_constraint
 
 
 @cache
@@ -118,10 +121,10 @@ class TestEnumeration:
     @pytest.mark.parametrize("parts", [2, 3])
     def test_slices_partition(self, n, parts):
         full = list(connected_rows(n))
-        level = list(connected_rows(n - 1))
+        level = [(rows, False) for rows in connected_rows(n - 1)]
         sliced = []
         for k in range(parts):
-            part = [rows for _, rows in enumerate_connected_slice(level[k::parts])]
+            part = [rows for rows, _ in enumerate_connected_slice(level[k::parts])]
             # each slice keeps stream order
             assert part == sorted(part, key=full.index)
             sliced += part
@@ -132,22 +135,104 @@ class TestEnumeration:
             enumerate_connected(0)
         with pytest.raises(SizeLimitExceeded):
             connected_rows(CANONICAL_MAX_VERTICES + 1)
-        assert list(enumerate_connected_slice([()])) == [((), (0,))]
+        assert list(enumerate_connected_slice([((), False)])) == [((0,), False)]
         assert list(enumerate_connected_slice([])) == []
         assert list(connected_rows(0)) == [()]
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     def test_slice_hands_each_child_its_parent(self, parts):
+        # each child carries its parent's verdict: the parent's inherited
+        # flag, or else holds of the parent, which runs once per such parent
         for n in range(1, 8):
-            low = (1 << (n - 1)) - 1
-            level = list(connected_rows(n - 1))
+            level = [(rows, k % 3 == 0) for k, rows in enumerate(connected_rows(n - 1))]
+            inherited = dict(level)
             for part in range(parts):
-                pairs = list(enumerate_connected_slice(level[part::parts]))
-                for parent, child in pairs:
-                    assert parent == tuple(r & low for r in child[:-1])
-                # siblings come consecutively and share one parent tuple
-                runs = [p for i, (p, _) in enumerate(pairs) if i == 0 or p is not pairs[i - 1][0]]
-                assert len(runs) == len(set(runs))
+                share = level[part::parts]
+                tested = []
+
+                def holds(rows):
+                    tested.append(rows)
+                    return has_triangle(rows)
+
+                for child, verdict in enumerate_connected_slice(share, holds):
+                    parent = parent_of(child)
+                    assert verdict == (inherited[parent] or has_triangle(parent))
+                assert tested == [rows for rows, found in share if rows and not found]
+
+
+def has_triangle(rows):
+    """A test on rows that holds of every graph containing one that holds."""
+    return any(rows[u] & rows[v] for u in range(len(rows)) for v in iter_bits(rows[u]))
+
+
+def parent_of(rows):
+    """The graph the walk extended to rows: rows less its last vertex."""
+    return tuple(r & ((1 << (len(rows) - 1)) - 1) for r in rows[:-1])
+
+
+def list_walk(n, holds):
+    """connected_rows(n, holds) as the walk built it level by level: every
+    level a list, and a dict from each graph to its inherited flag."""
+    level = [((), False)]
+    for k in range(1, n + 1):
+        inherited = dict(level)
+        children = ((p, rows) for p in inherited for rows in (_children(p) if p else [(0,)]))
+        level = [(rows, inherited[p]) for p, rows in children]
+        if k < n:
+            level = [(rows, found or holds(rows)) for rows, found in level]
+    return level
+
+
+class TestAncestorChain:
+    @pytest.mark.parametrize("constraint", ["fs-minor-free:s=2", "qt-minor-free:t=1"])
+    def test_matches_list_walk(self, constraint):
+        rule = partial(search._holds, *parse_constraint(constraint), DEFAULT_NODE_BUDGET)
+        for n in range(1, 8):
+            calls = {"list": [], "chain": []}
+
+            def spy(key):
+                def holds(rows):
+                    calls[key].append(rows)
+                    return rule(rows)
+
+                return holds
+
+            want = list_walk(n, spy("list"))
+            assert list(connected_rows(n, spy("chain"))) == want
+            assert len(calls["chain"]) == len(set(calls["chain"]))
+            assert sorted(calls["chain"]) == sorted(calls["list"])
+        assert {found for _, found in want} == {False, True}  # n = 7 has both verdicts
+
+    def test_each_graph_is_tested_before_its_first_child(self, monkeypatch):
+        n = 7
+        events = []
+        real = enumeration._children
+
+        def children(parent):
+            for rows in real(parent):
+                events.append(("child", rows))
+                yield rows
+
+        def holds(rows):
+            events.append(("test", rows))
+            return has_triangle(rows)
+
+        monkeypatch.setattr(enumeration, "_children", children)
+        stream = connected_rows(n, holds)
+        assert events == []  # nothing runs before iteration
+        assert len(list(stream)) == 853
+        tested = {rows for kind, rows in events if kind == "test"}
+        done = set()
+        for kind, rows in events:
+            if kind == "test":
+                assert rows not in done
+                done.add(rows)
+            elif parent_of(rows) in tested:
+                assert parent_of(rows) in done  # a child comes after its parent's test
+        # the chain is lazy: level n starts before level n - 1 is tested
+        tests = [i for i, (kind, rows) in enumerate(events) if kind == "test" and len(rows) == n - 1]
+        children = [i for i, (kind, rows) in enumerate(events) if kind == "child" and len(rows) == n]
+        assert children[0] < tests[-1]
 
 
 def unpruned_children(rows):
