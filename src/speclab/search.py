@@ -37,6 +37,42 @@ exhausted one settles nothing, so their children are tested as before.
 Feasible sets, radii and maximizers are therefore unchanged;
 exhausted_count can only fall, and only for a graph whose own test
 would run out of budget while an ancestor has a certified model.
+
+Radii come from two methods.  Each scan screens its feasible graphs,
+SCREEN_BATCH at a time, with one stacked eigvalsh and keeps those within
+SCREEN_WINDOW = RECHECK_WINDOW + 2 RECHECK_TOLERANCE of its best screen
+radius, which is at most the global best S.  After the merge, power
+iteration (spectral_radius) runs only on the candidates, the graphs
+within SCREEN_WINDOW of S; each result is checked against its screen
+value to RECHECK_TOLERANCE, and best_rho and the maximizers come from
+the power-iteration values.  The report is that of a search that ran
+power iteration on every feasible graph, took the best value P, and
+checked every graph within RECHECK_WINDOW of P against eigvalsh.
+Soundness: power iteration returns a Rayleigh quotient x.Ax / x.x, which
+never exceeds the largest eigenvalue lambda, and eigvalsh returns lambda
+to within rounding; the two roundings together are about 1e-14 for
+n <= 10, far below RECHECK_TOLERANCE.  The graph with screen radius S is
+a candidate, so its checked power value, and with it P, is at least
+S - RECHECK_TOLERANCE.  A graph with power value p >= P - RECHECK_WINDOW
+has screen radius at least lambda - rounding >= p - RECHECK_TOLERANCE
+>= S - SCREEN_WINDOW, so every graph of that window is a candidate, the
+one with value P included.  Hence the candidates' best power value is P,
+every graph tied with it (TIE_TOLERANCE < RECHECK_WINDOW) is a
+candidate, and every graph the every-graph search checks is checked here
+by the same comparison.
+
+A maximizer G must be edge-maximal.  For a non-edge e = uv, G+e is a
+connected graph on n vertices whose radius exceeds G's by at least
+2 x_u x_v / x.x, the Rayleigh quotient of G's Perron vector x, which is
+positive on a connected graph (Perron-Frobenius); on graphs this small
+that is far more than TIE_TOLERANCE.  A G+e that passes the constraint
+would be a feasible graph ranked above G, so finding one is a search
+fault.  When
+every graph was settled, each maximizer's non-edges are tested after
+the merge, and a not_found G+e raises VerificationFailed; an exhausted
+answer settles nothing and passes.  With exhausted graphs the check is
+skipped, since G+e may be a graph the walk dropped as exhausted under
+other labels.
 """
 
 from __future__ import annotations
@@ -53,7 +89,7 @@ from dataclasses import dataclass, fields
 from .enumerate import connected_rows, enumerate_connected, enumerate_connected_slice
 from .errors import BudgetExhausted, VerificationFailed
 from .families import FamilySpec, construct, expected_edge_count
-from .graph import Graph, canonical_code
+from .graph import Graph, canonical_code, g6_decode
 from .minor import (
     DEFAULT_NODE_BUDGET,
     EXHAUSTED,
@@ -65,13 +101,23 @@ from .minor import (
     qt_subgraph_witness,
 )
 from .record import Record
-from .spectral import CLOSED_FORM_TOLERANCE, adjacency_matrix, rho_closed_form, spectral_radius
+from .spectral import (
+    CLOSED_FORM_TOLERANCE,
+    load_numpy,
+    rho_closed_form,
+    screen_radii,
+    spectral_radius,
+)
 
 TIE_TOLERANCE = 1e-9
-# graphs this close to the best radius are recomputed by a dense
-# eigensolver, which must agree with power iteration to RECHECK_TOLERANCE
+# every graph whose power-iteration radius is this close to the best is
+# checked against eigvalsh, which must agree with it to RECHECK_TOLERANCE
 RECHECK_WINDOW = 1e-6
 RECHECK_TOLERANCE = 1e-8
+# graphs this close to the best screen radius get power iteration
+# (module docstring); feasible rows are screened this many at a time
+SCREEN_WINDOW = RECHECK_WINDOW + 2 * RECHECK_TOLERANCE
+SCREEN_BATCH = 4096
 
 _CONSTRAINT_RE = re.compile(r"^(fs|qt)-(minor|subgraph)-free:([st])=(\d+)$")
 
@@ -129,7 +175,7 @@ def parse_constraint(descriptor: str) -> tuple[str, str, int]:
     return family, relation, param
 
 
-def _test_graph(g: Graph, family: str, relation: str, param: int, budget: int) -> str:
+def _status(g: Graph, family: str, relation: str, param: int, budget: int) -> str:
     """NOT_FOUND when g certifiably passes the freeness constraint."""
     if relation == "minor":
         if family == "fs":
@@ -138,6 +184,14 @@ def _test_graph(g: Graph, family: str, relation: str, param: int, budget: int) -
     if family == "fs":
         return NOT_FOUND if fs_subgraph_witness(g, param) is None else FOUND
     return qt_subgraph_witness(g, param, node_budget=budget).status
+
+
+def _test_graph(g: Graph, *constraint) -> str:
+    """_status of a graph the walk settles, or of verify's predicted join:
+    the tests that decide a report.  The saturation check, which verifies
+    a finished report, calls _status, so the two kinds of test can be told
+    apart."""
+    return _status(g, *constraint)
 
 
 def predicted_spec(constraint: str, n: int) -> FamilySpec:
@@ -154,46 +208,63 @@ def _holds(family, relation, param, budget, rows):
     return _test_graph(Graph(rows), family, relation, param, budget) == FOUND
 
 
+def _screened(keep, batch):
+    """keep plus the batch's (screen radius, rows) pairs, cut to the
+    entries within SCREEN_WINDOW of their best."""
+    keep = keep + list(zip(screen_radii(batch, len(batch[0])).tolist(), batch))
+    best = max(rho for rho, _ in keep)
+    return [e for e in keep if e[0] >= best - SCREEN_WINDOW]
+
+
 def _scan(parents, holds):
-    """Test and rank the children of parents, (rows, inherited) pairs of
+    """Test and screen the children of parents, (rows, inherited) pairs of
     one level.  holds is _holds bound to the constraint; the walk tests
     the parents with it, and the scan each child with its arguments."""
     enumerated = feasible = exhausted = 0
-    best = None
     keep: list[tuple[float, tuple[int, ...]]] = []
+    batch: list[tuple[int, ...]] = []
     for rows, inherited in enumerate_connected_slice(parents, holds):
         enumerated += 1
         if inherited:
             continue  # an ancestor's model is a model in g (module docstring)
-        g = Graph(rows)
-        status = _test_graph(g, *holds.args)
+        status = _test_graph(Graph(rows), *holds.args)
         if status == EXHAUSTED:
             exhausted += 1
-            continue
-        if status != NOT_FOUND:
-            continue
-        feasible += 1
-        rho = spectral_radius(g).rho
-        if best is None or rho > best:
-            best = rho
-            keep = [kr for kr in keep if kr[0] >= best - RECHECK_WINDOW]
-        if rho >= best - RECHECK_WINDOW:
-            keep.append((rho, rows))
+        elif status == NOT_FOUND:
+            feasible += 1
+            batch.append(rows)
+            if len(batch) == SCREEN_BATCH:
+                keep, batch = _screened(keep, batch), []
+    if batch:
+        keep = _screened(keep, batch)
     return enumerated, feasible, exhausted, keep
 
 
-def _recheck_radii(entries):
-    """Recompute each (rho, rows) with numpy.linalg.eigvalsh; raise
-    VerificationFailed where it disagrees with power iteration."""
-    import numpy as np
+def _power_radius(screen, rows):
+    """spectral_radius of rows; VerificationFailed where it disagrees with
+    the screen's eigvalsh radius by more than RECHECK_TOLERANCE."""
+    rho = spectral_radius(Graph(rows)).rho
+    if abs(screen - rho) > RECHECK_TOLERANCE:
+        g6 = canonical_code(Graph(rows)).decode("ascii")
+        raise VerificationFailed(
+            f"power iteration gives rho {rho!r} for {g6}, eigvalsh gives {screen!r}"
+        )
+    return rho
 
-    for rho, rows in entries:
-        dense = float(np.linalg.eigvalsh(adjacency_matrix(Graph(rows)))[-1])
-        if abs(dense - rho) > RECHECK_TOLERANCE:
-            g6 = canonical_code(Graph(rows)).decode("ascii")
-            raise VerificationFailed(
-                f"power iteration gives rho {rho!r} for {g6}, eigvalsh gives {dense!r}"
-            )
+
+def _check_saturated(maximizers, family, relation, param, budget):
+    """VerificationFailed when a maximizer plus one of its non-edges passes
+    the constraint (module docstring)."""
+    for g6 in maximizers:
+        g = g6_decode(g6)
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                if g.has_edge(u, v):
+                    continue
+                if _status(g.with_edge(u, v), family, relation, param, budget) == NOT_FOUND:
+                    raise VerificationFailed(
+                        f"maximizer {g6} plus edge {u}-{v} still passes the constraint"
+                    )
 
 
 def extremal_search(
@@ -206,15 +277,17 @@ def extremal_search(
 
     With more workers, each tests and extends its share of level n-1,
     which the search lists once and deals round-robin; the merge is
-    associative, so any worker count yields the identical report.  Every
-    graph within RECHECK_WINDOW of the best radius is recomputed by a
-    dense eigensolver, and a disagreement raises VerificationFailed.  A
-    graph is exhausted when its own test hits the node budget and no
-    ancestor has a certified model (an ancestor's model already settles
-    the graph; module docstring).  Exhausted graphs are dropped from the
-    feasible set and counted in exhausted_count, and any nonzero
-    exhausted_count forces match to false: the maximizer set is then not
-    certified complete.
+    associative, so any worker count yields the identical report.  numpy
+    is loaded first, through load_numpy.  Radii are screened by eigvalsh
+    and confirmed by power iteration near the top, where a disagreement
+    raises VerificationFailed, as does a maximizer that still passes the
+    constraint with an edge added (module docstring).  A graph is
+    exhausted when its own test hits the node budget and no ancestor has
+    a certified model (an ancestor's model already settles the graph;
+    module docstring).  Exhausted graphs are dropped from the feasible
+    set and counted in exhausted_count, and any nonzero exhausted_count
+    forces match to false: the maximizer set is then not certified
+    complete.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -224,18 +297,13 @@ def extremal_search(
     # built first, so a join its spec rules out (s >= n) fails before the scan
     g_pred, _ = construct(predicted_spec(constraint, n))
     pred_g6 = canonical_code(g_pred).decode("ascii")
+    load_numpy()
     holds = functools.partial(_holds, *parse_constraint(constraint), node_budget)
     parents = connected_rows(n - 1, holds)
     if workers == 1:
         partials = [_scan(parents, holds)]
     else:
-        # walk first: importing numpy starts a BLAS thread that spins for a
-        # while, and the walk measured slower beside it
         parents = list(parents)
-        # the workers compute radii; importing numpy once before the fork
-        # costs less than one import in every worker
-        import numpy  # noqa: F401
-
         ctx = multiprocessing.get_context("fork")
         jobs = [(parents[i::workers], holds) for i in range(workers)]
         with ctx.Pool(workers) as pool:
@@ -244,13 +312,16 @@ def extremal_search(
     feasible = sum(p[1] for p in partials)
     exhausted = sum(p[2] for p in partials)
     keep = [e for p in partials for e in p[3]]
-    best = max((rho for rho, _ in keep), default=None)
+    top = max((screen for screen, _ in keep), default=None)
+    best = None
     maximizers: tuple[str, ...] = ()
-    if best is not None:
-        near = [e for e in keep if e[0] >= best - RECHECK_WINDOW]
-        _recheck_radii(near)
+    if top is not None:
+        near = [(_power_radius(*e), e[1]) for e in keep if e[0] >= top - SCREEN_WINDOW]
+        best = max(rho for rho, _ in near)
         tied = (rows for rho, rows in near if rho >= best - TIE_TOLERANCE)
         maximizers = tuple(sorted(canonical_code(Graph(rows)).decode("ascii") for rows in tied))
+        if exhausted == 0:
+            _check_saturated(maximizers, *holds.args)
     match = exhausted == 0 and pred_g6 in maximizers
     return SearchReport(
         n=n,
@@ -296,6 +367,7 @@ def verify_theorem_small_n(
     if lo > hi:
         raise ValueError("empty n range")
     constraint_for = _MODE_CONSTRAINTS[mode]
+    load_numpy()
     reports = []
     for n in range(lo, hi + 1):
         constraint = constraint_for.format(p=param)

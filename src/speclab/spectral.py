@@ -7,18 +7,38 @@ max-normalized, so the returned Perron vector has largest entry exactly
 1.0 and is supported on the winning component only.  Convergence is the
 sup-norm residual |Ax - rho x| <= tol measured on that same vector.
 
+screen_radii() is the search's screen: the largest eigenvalue of many
+small graphs at once, from one numpy.linalg.eigvalsh on a stack of
+adjacency matrices unpacked from the bit rows.  The search ranks every
+feasible graph by it and runs power iteration only near the top.
+
 rho_closed_form() gives exact or equitable-quotient values for the
-families that admit them; the join families reduce to a 2x2 or 3x3
+families that have them; the join families reduce to a 2x2 or 3x3
 quotient matrix whose largest eigenvalue is the radius.
 
 numpy is imported inside the functions that use it, so importing this
-module (and with it speclab.search and the CLI) does not load numpy:
-that costs about 14 MB and 150 ms, which minor queries never need.
+module (and with it speclab.search and the CLI) does not load numpy,
+which minor queries never need: on a 2-core x86-64 host (numpy 2.4,
+OpenBLAS 0.3.31) the import adds about 14 MB and 0.07-0.10 s.  With
+OpenBLAS's default pool there, a second thread also burns about 0.1 s of
+CPU during the import and the half second after it.
+
+The searches load numpy through load_numpy(), which pins OpenBLAS to one
+thread for that first import unless the caller set OPENBLAS_NUM_THREADS,
+and removes the variable again.  OpenBLAS sizes its pool once, when it
+is loaded, so the pin holds for the rest of that process, forked search
+workers included.  Search matrices have at most CANONICAL_MAX_VERTICES
+rows, too small for OpenBLAS to thread, so a pool thread would only spin
+beside the single-threaded search.  Every other first import, such as
+the rho command's on a large family, keeps the default pool, which
+speeds up power iteration on thousands of vertices.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -54,14 +74,39 @@ class PerronReport(Record):
     ok: bool
 
 
+def load_numpy() -> None:
+    """Import numpy for a search.  When numpy is not loaded yet and
+    OPENBLAS_NUM_THREADS is unset, the variable is set to 1 for the
+    import, so OpenBLAS starts no pool thread, and removed after it."""
+    if "numpy" in sys.modules or "OPENBLAS_NUM_THREADS" in os.environ:
+        import numpy  # noqa: F401
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
+    """The 0/1 adjacency matrix as floats: entry (u, v) is bit v of row u."""
     import numpy as np
 
-    a = np.zeros((g.n, g.n))
-    for u in range(g.n):
-        for v in iter_bits(g.rows[u]):
-            a[u, v] = 1.0
-    return a
+    width = (g.n + 7) // 8
+    raw = b"".join(row.to_bytes(width, "little") for row in g.rows)
+    bits = np.frombuffer(raw, dtype=np.uint8).reshape(g.n, width)
+    return np.unpackbits(bits, axis=1, count=g.n, bitorder="little").astype(float)
+
+
+def screen_radii(row_sets: list[tuple[int, ...]], n: int) -> np.ndarray:
+    """Largest adjacency eigenvalue of each graph, given by its rows, on
+    n <= 63 vertices: one stacked eigvalsh, on matrices unpacked from the
+    rows with shifts (entry (u, v) is bit v of row u)."""
+    import numpy as np
+
+    rows = np.array(row_sets, dtype=np.int64).reshape(-1, n, 1)
+    stack = ((rows >> np.arange(n)) & 1).astype(float)
+    return np.linalg.eigvalsh(stack)[:, -1]
 
 
 def _component_power(sub: np.ndarray, tol: float, max_iter: int):

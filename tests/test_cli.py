@@ -206,6 +206,26 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "eigvalsh" in err
 
+    def test_search_maximizer_feasible_with_an_edge_is_claim_failure(
+        self, capsys, monkeypatch
+    ):
+        from speclab import search
+        from speclab.minor import NOT_FOUND
+        from test_search import unwalked_non_edge
+
+        g6, (u, v), target = unwalked_non_edge(monkeypatch, 5, "fs-minor-free:s=1")
+        real = search._status
+        monkeypatch.setattr(
+            search,
+            "_status",
+            lambda h, *args: NOT_FOUND if h.rows == target else real(h, *args),
+        )
+        code, out, err = invoke(
+            capsys, ["search", "--constraint", "fs-minor:s=1", "--n", "5", "--workers", "1"]
+        )
+        assert (code, out) == (2, "")
+        assert f"{g6} plus edge {u}-{v}" in err
+
     def test_exhaustion_exit(self, capsys):
         k8 = g6_of(FamilySpec("complete", n=8))
         code, out, _ = invoke(

@@ -3,7 +3,9 @@ import functools
 import json
 import math
 import multiprocessing
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from speclab.errors import BudgetExhausted, InvalidSpec, VerificationFailed
@@ -419,6 +421,129 @@ class TestParentRule:
         assert got.exhausted_count == by_ancestor
         want = dataclasses.replace(want, exhausted_count=by_ancestor)
         assert got.to_json(include_elapsed=False) == want.to_json(include_elapsed=False)
+
+
+def non_edges(g6):
+    """The graphs a maximizer's saturation check tests: g6 plus each non-edge."""
+    g = g6_decode(g6)
+    return [
+        g.with_edge(u, v).rows
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if not g.has_edge(u, v)
+    ]
+
+
+def record_status(monkeypatch):
+    """Rows of every graph search._status is called on, in call order: the
+    search's tests and then the saturation check's."""
+    calls = []
+    real = search._status
+
+    def spy(g, *args):
+        calls.append(g.rows)
+        return real(g, *args)
+
+    monkeypatch.setattr(search, "_status", spy)
+    return calls
+
+
+def unwalked_non_edge(monkeypatch, n, constraint):
+    """(maximizer g6, pair, rows of g6 plus the pair) for a pair whose graph
+    the walk never tests, so that only the saturation check sees it."""
+    calls = record_tests(monkeypatch)
+    g6 = extremal_search(n, constraint).maximizers[0]
+    monkeypatch.undo()
+    walked = set(calls)
+    g = g6_decode(g6)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not g.has_edge(u, v) and g.with_edge(u, v).rows not in walked:
+                return g6, (u, v), g.with_edge(u, v).rows
+    raise AssertionError("the walk tests every graph of the check")
+
+
+class TestRadii:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_power_iteration_runs_only_near_the_top(self, monkeypatch, workers):
+        calls = []
+        real = search.spectral_radius
+
+        def spy(g):
+            calls.append(g.rows)
+            return real(g)
+
+        monkeypatch.setattr(search, "spectral_radius", spy)
+        r = extremal_search(8, "fs-minor-free:s=1", workers=workers)
+        assert r.feasible == 23
+        assert len(calls) == 1  # the star; the other 22 trees are screened out
+        assert canonical_code(Graph(calls[0])).decode("ascii") == r.maximizers[0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_screen_rounding_keeps_every_tied_graph(self, monkeypatch, workers):
+        # power iteration ties every feasible graph at 1.0, and the screen
+        # reads each up to RECHECK_TOLERANCE / 2 off it, spread by graph
+        tol = search.RECHECK_TOLERANCE
+
+        def screen(row_sets, n):
+            return np.array([1.0 + (hash(rows) % 1001 - 500) * tol / 1000 for rows in row_sets])
+
+        monkeypatch.setattr(search, "spectral_radius", lambda g: SimpleNamespace(rho=1.0))
+        monkeypatch.setattr(search, "screen_radii", screen)
+        # equal radii break the check's premise that an edge raises rho
+        monkeypatch.setattr(search, "_check_saturated", lambda *args: None)
+        statuses, _ = reference_search(6, "fs-subgraph-free:s=1", DEFAULT_NODE_BUDGET)
+        feasible = sorted(
+            canonical_code(Graph(rows)).decode("ascii")
+            for rows, status in statuses.items()
+            if status == NOT_FOUND
+        )
+        r = extremal_search(6, "fs-subgraph-free:s=1", workers=workers)
+        assert len(feasible) == 19
+        assert r.best_rho == 1.0
+        assert list(r.maximizers) == feasible
+
+    def test_screen_batches_do_not_change_report(self, monkeypatch):
+        want = extremal_search(7, "fs-subgraph-free:s=1").to_json(include_elapsed=False)
+        monkeypatch.setattr(search, "SCREEN_BATCH", 3)
+        for workers in (1, 2):
+            got = extremal_search(7, "fs-subgraph-free:s=1", workers=workers)
+            assert got.to_json(include_elapsed=False) == want
+
+
+class TestSaturation:
+    @pytest.mark.parametrize(
+        "constraint",
+        ["fs-minor-free:s=1", "qt-minor-free:t=1", "fs-subgraph-free:s=1", "qt-subgraph-free:t=1"],
+    )
+    def test_every_maximizer_is_edge_maximal(self, monkeypatch, constraint):
+        for n in range(3, 8):
+            calls = record_status(monkeypatch)
+            r = extremal_search(n, constraint)  # raises on a feasible G+e
+            assert r.exhausted_count == 0 and r.maximizers
+            added = [rows for g6 in r.maximizers for rows in non_edges(g6)]
+            # the check is the search's last tests, one per non-edge
+            assert calls[len(calls) - len(added):] == added
+            monkeypatch.undo()
+
+    def test_feasible_graph_with_an_added_edge_raises(self, monkeypatch):
+        g6, (u, v), target = unwalked_non_edge(monkeypatch, 6, "fs-minor-free:s=1")
+        real = search._status
+        monkeypatch.setattr(
+            search,
+            "_status",
+            lambda h, *args: NOT_FOUND if h.rows == target else real(h, *args),
+        )
+        with pytest.raises(VerificationFailed, match=f"{g6} plus edge {u}-{v}"):
+            extremal_search(6, "fs-minor-free:s=1")
+
+    def test_exhausted_searches_skip_the_check(self, monkeypatch):
+        def no_check(*args):
+            raise AssertionError("saturation checked with exhausted graphs")
+
+        monkeypatch.setattr(search, "_check_saturated", no_check)
+        r = extremal_search(6, "fs-minor-free:s=2", node_budget=5)
+        assert r.exhausted_count > 0 and r.maximizers
 
 
 class TestVerifyTheorem:

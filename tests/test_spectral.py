@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,10 +14,12 @@ from speclab.errors import (
     UnsupportedFamily,
 )
 from speclab.families import FamilySpec, construct
-from speclab.graph import Graph, disjoint_union, is_connected
+from speclab.enumerate import enumerate_connected
+from speclab.graph import Graph, disjoint_union, is_connected, iter_bits
 from speclab.spectral import (
     adjacency_matrix,
     rho_closed_form,
+    screen_radii,
     spectral_radius,
     verify_perron_bound,
 )
@@ -217,3 +222,78 @@ class TestPerronBound:
             verify_perron_bound(Graph.empty(2))
         with pytest.raises(EmptyGraph):
             verify_perron_bound(Graph.empty(0))
+
+
+def loop_adjacency(g):
+    """The adjacency matrix by the double loop over rows and their bits."""
+    a = np.zeros((g.n, g.n))
+    for u in range(g.n):
+        for v in iter_bits(g.rows[u]):
+            a[u, v] = 1.0
+    return a
+
+
+class TestScreen:
+    def test_unpacked_matrix_matches_loop(self):
+        for n in range(1, 8):
+            for g in enumerate_connected(n):
+                a = adjacency_matrix(g)
+                assert a.dtype == np.float64
+                assert np.array_equal(a, loop_adjacency(g)), g.rows
+        # rows wider than one machine word, and the empty graph
+        k, _ = construct(FamilySpec("complete-bipartite", a=2, b=80))
+        assert np.array_equal(adjacency_matrix(k), loop_adjacency(k))
+        assert adjacency_matrix(Graph(())).shape == (0, 0)
+
+    def test_screen_radii_match_power_iteration(self):
+        for n in range(1, 8):
+            graphs = list(enumerate_connected(n))
+            radii = screen_radii([g.rows for g in graphs], n)
+            assert radii.shape == (len(graphs),)
+            for g, screen in zip(graphs, radii.tolist()):
+                assert abs(screen - spectral_radius(g).rho) <= 1e-9, g.rows
+
+
+def _run_fresh(code, **env_set):
+    """Last stdout line of code run in a fresh interpreter, with
+    OPENBLAS_NUM_THREADS taken out of the environment unless given."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(env_set)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+_REPORT = (
+    "import os, sys\n"
+    "print(len(os.listdir('/proc/self/task')), 'numpy' in sys.modules,"
+    " os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+)
+_SEARCH = "from speclab.search import extremal_search\nextremal_search(6, 'fs-minor-free:s=1')\n"
+_BARE_RHO = (
+    "from speclab.graph import Graph\n"
+    "from speclab.spectral import spectral_radius\n"
+    "spectral_radius(Graph((2, 5, 2)))\n"
+)
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="counts threads through Linux /proc"
+)
+class TestBlasPool:
+    def test_search_pins_a_one_thread_pool_and_unsets_the_variable(self):
+        assert _run_fresh(_SEARCH + _REPORT) == "1 True None"
+
+    def test_a_callers_thread_count_is_left_as_set(self):
+        bare = _run_fresh("import numpy\n" + _REPORT, OPENBLAS_NUM_THREADS="2")
+        after = _run_fresh(_SEARCH + _REPORT, OPENBLAS_NUM_THREADS="2")
+        assert after == bare
+        assert after.endswith(" True 2")
+
+    def test_bare_spectral_radius_keeps_the_default_pool(self):
+        bare = _run_fresh("import numpy\n" + _REPORT)
+        assert _run_fresh(_BARE_RHO + _REPORT) == bare
+        assert bare.endswith(" True None")
