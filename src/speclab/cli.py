@@ -230,11 +230,14 @@ def _common_neighborhood(g: Graph, A: list[int]) -> list[int]:
 
 
 def _cmd_lemmas(args):
+    structure = args.check in ("l33", "l53")
+    if (args.param if structure else args.B) is not None:
+        raise _UsageError(f"{'--param' if structure else '--B'} is not read by {args.check}")
     host = _read_g6_arg(args.host)
     A = _parse_indices(args.A)
     if not A:
         raise _UsageError("--A must name at least one vertex")
-    if args.check in ("l33", "l53"):
+    if structure:
         B = _parse_indices(args.B) if args.B is not None else _common_neighborhood(host, A)
         checker = check_structure_fs if args.check == "l33" else check_structure_qt
         report = checker(host, A, B)
@@ -371,8 +374,8 @@ _COMMANDS = {
         _arg("--check", required=True, choices=("l33", "l53", "l34", "l54"), help="l33/l53: hub-and-side structure report; l34/l54: clique closure"),
         _HOST,
         _arg("--A", required=True, help="comma-separated hub vertex indices"),
-        _arg("--B", default=None, help="comma-separated side vertices (default: common neighborhood of A)"),
-        _arg("--param", type=int, default=None, help="s or t for closure checks (default: |A|)"),
+        _arg("--B", default=None, help="l33/l53: comma-separated side vertices (default: common neighborhood of A)"),
+        _arg("--param", type=int, default=None, help="l34/l54: s or t (default: |A|)"),
     )),
     "search": _Command(_cmd_search, "exhaustive extremal search at one n", ("json", "csv", "text"), ("budget", "workers"), (
         _arg("--constraint", required=True, help="e.g. fs-minor-free:s=1 (the -free infix may be omitted)"),

@@ -79,6 +79,9 @@ no decision because:
    the orbits tied with O.  The canonical labeling places each vertex
    at its own position, so the earliest of those vertices lies in O iff
    O's earliest comes before every tied vertex outside O.
+   No graph with n <= 10 reaches that tie-break: in the walk to n = 10
+   none of the 7,630 deletion codes of other orbits compared with m's
+   equals it, so only a CANONICAL_MAX_VERTICES above 10 can reach it.
 8. The first round after degrees ranks (degree, sorted neighbour
    degrees) by an order-preserving map, so among vertices of one degree
    it orders them as their sorted neighbour-degree lists, which have

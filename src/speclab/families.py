@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidSpec
-from .graph import Graph, join
+from .errors import InvalidSpec, SizeLimitExceeded
+from .graph import MAX_VERTICES, Graph, disjoint_union, join
 
 # which parameters each kind takes, in canonical text order
 _PARAMS = {
@@ -75,6 +75,7 @@ class FamilySpec:
 
 def _check_ranges(spec: FamilySpec) -> None:
     k = spec.kind
+    order = spec.n  # the vertex count, set below for kinds without n
     if k in ("complete", "independent", "path"):
         if spec.n < 0:
             raise InvalidSpec(f"{k} needs n >= 0")
@@ -82,15 +83,19 @@ def _check_ranges(spec: FamilySpec) -> None:
         if spec.n < 3:
             raise InvalidSpec("cycle needs n >= 3")
     elif k == "matching":
+        order = spec.t
         if spec.t < 1:
             raise InvalidSpec("matching needs t >= 1")
     elif k == "friendship":
+        order = 2 * spec.s + 1
         if spec.s < 1:
             raise InvalidSpec("friendship needs s >= 1")
     elif k == "intersecting-c4":
+        order = 3 * spec.t + 1
         if spec.t < 1:
             raise InvalidSpec("intersecting-c4 needs t >= 1")
     elif k == "complete-bipartite":
+        order = spec.a + spec.b
         if spec.a < 1 or spec.b < 1:
             raise InvalidSpec("complete-bipartite needs a, b >= 1")
     elif k == "ks-join-independent":
@@ -107,6 +112,7 @@ def _check_ranges(spec: FamilySpec) -> None:
         if spec.s % 2 == 0 and spec.n < 2 * (2 * spec.s - 1):
             raise InvalidSpec("efgg with even s needs n >= 2(2s-1)")
     elif k in ("hstar", "near-regular"):
+        order = 2 * spec.s - 1
         if spec.s < 2 or spec.s % 2:
             raise InvalidSpec(f"{k} needs even s >= 2")
     elif k == "zlx":
@@ -114,6 +120,9 @@ def _check_ranges(spec: FamilySpec) -> None:
             raise InvalidSpec("zlx needs s >= 1")
         if spec.n < 2 * (2 * spec.s - 1) or spec.n < 4 * spec.s:
             raise InvalidSpec("zlx needs n >= 2(2s-1) and n >= 4s")
+    # before anything is built: a huge spec's rows would take all the memory
+    if order > MAX_VERTICES:
+        raise SizeLimitExceeded(f"{spec.text()}: {order} vertices exceeds the cap of {MAX_VERTICES}")
 
 
 def parse_family_spec(text: str) -> FamilySpec:
@@ -161,6 +170,9 @@ class Layout:
 def _layout(n: int, **regions) -> Layout:
     return Layout(n, {name: frozenset(members) for name, members in regions.items()})
 
+def _complete(k: int) -> Graph:
+    return Graph.empty(k).with_clique(range(k))
+
 def _matching_graph(m: int) -> Graph:
     """floor(m/2) disjoint edges on m vertices; odd m leaves the last isolated."""
     return Graph.from_edges(m, [(2 * i, 2 * i + 1) for i in range(m // 2)])
@@ -202,8 +214,7 @@ def hstar(s: int) -> tuple[Graph, Layout]:
     Degenerate at s = 2 (A empty, w0 isolated): the empty regions stay in
     the Layout to make that visible.
     """
-    spec = FamilySpec("hstar", s=s)
-    s = spec.s
+    FamilySpec("hstar", s=s)  # checks s and the vertex cap
     k = (s - 2) // 2
     w0 = 0
     a1 = list(range(1, 1 + k))
@@ -214,11 +225,7 @@ def hstar(s: int) -> tuple[Graph, Layout]:
     edges = [(w0, x) for x in a1 + a2]
     edges += [(u0, x) for x in a1 + b1]
     edges += list(zip(a2, b2))
-    aa = a1 + a2
-    edges += [(x, y) for i, x in enumerate(aa) for y in aa[i + 1 :]]
-    bb = b1 + b2
-    edges += [(x, y) for i, x in enumerate(bb) for y in bb[i + 1 :]]
-    g = Graph.from_edges(2 * s - 1, edges)
+    g = Graph.from_edges(2 * s - 1, edges).with_clique(a1 + a2).with_clique(b1 + b2)
     layout = _layout(2 * s - 1, w0=[w0], A1=a1, A2=a2, u0=[u0], B1=b1, B2=b2)
     return g, layout
 
@@ -226,21 +233,13 @@ def _bipartite_with_embed(n: int, embed: Graph) -> tuple[Graph, Layout]:
     """K_{floor(n/2), ceil(n/2)} with `embed` on the lowest indices of the small side."""
     h = n // 2
     assert embed.n <= h
-    edges = [(u, v) for u in range(h) for v in range(h, n)]
-    edges += list(embed.edges())
-    g = Graph.from_edges(n, edges)
-    layout = _layout(
-        n,
-        embed=range(embed.n),
-        side0=range(embed.n, h),
-        side1=range(h, n),
-    )
+    g = join(disjoint_union(embed, Graph.empty(h - embed.n)), Graph.empty(n - h))
+    layout = _layout(n, embed=range(embed.n), side0=range(embed.n, h), side1=range(h, n))
     return g, layout
 
 def _two_cliques(s: int) -> Graph:
     """Two disjoint K_s on 2s vertices: the odd-s embedding of efgg and zlx."""
-    ks = [(u, v) for u in range(s) for v in range(u + 1, s)]
-    return Graph.from_edges(2 * s, ks + [(u + s, v + s) for u, v in ks])
+    return disjoint_union(_complete(s), _complete(s))
 
 
 def efgg_extremal(s: int, n: int) -> tuple[Graph, Layout]:
@@ -250,8 +249,7 @@ def efgg_extremal(s: int, n: int) -> tuple[Graph, Layout]:
     for odd s or the near-regular graph for even s.  Edge count is
     floor(n^2/4) + s^2 - s (odd s) or floor(n^2/4) + s^2 - 3s/2 (even s).
     """
-    spec = FamilySpec("efgg", s=s, n=n)
-    s, n = spec.s, spec.n
+    FamilySpec("efgg", s=s, n=n)  # checks s, n and the vertex cap
     embed = _two_cliques(s) if s % 2 else near_regular(s)
     return _bipartite_with_embed(n, embed)
 
@@ -261,8 +259,7 @@ def zlx_extremal(s: int, n: int) -> tuple[Graph, Layout]:
     Same bipartite-plus-embedding shape; the even-s embedding is the
     hand-built hstar graph instead of the Havel-Hakimi realization.
     """
-    spec = FamilySpec("zlx", s=s, n=n)
-    s, n = spec.s, spec.n
+    FamilySpec("zlx", s=s, n=n)  # checks s, n and the vertex cap
     embed = _two_cliques(s) if s % 2 else hstar(s)[0]
     return _bipartite_with_embed(n, embed)
 
@@ -271,9 +268,7 @@ def construct(spec: FamilySpec) -> tuple[Graph, Layout]:
     """Build the family member with its deterministic labeling and Layout."""
     k = spec.kind
     if k == "complete":
-        n = spec.n
-        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-        return g, _layout(n, V=range(n))
+        return _complete(spec.n), _layout(spec.n, V=range(spec.n))
     if k == "independent":
         return Graph.empty(spec.n), _layout(spec.n, V=range(spec.n))
     if k == "complete-bipartite":
@@ -304,13 +299,11 @@ def construct(spec: FamilySpec) -> tuple[Graph, Layout]:
         return g, _layout(3 * t + 1, center=[0], B=range(1, 3 * t + 1))
     if k == "ks-join-independent":
         s, n = spec.s, spec.n
-        kclq = Graph.from_edges(s, [(u, v) for u in range(s) for v in range(u + 1, s)])
-        g = join(kclq, Graph.empty(n - s))
+        g = join(_complete(s), Graph.empty(n - s))
         return g, _layout(n, A=range(s), B=range(s, n))
     if k == "kt-join-matching":
         t, n = spec.t, spec.n
-        kclq = Graph.from_edges(t, [(u, v) for u in range(t) for v in range(u + 1, t)])
-        g = join(kclq, _matching_graph(n - t))
+        g = join(_complete(t), _matching_graph(n - t))
         return g, _layout(n, A=range(t), B=range(t, n))
     if k == "efgg":
         return efgg_extremal(spec.s, spec.n)

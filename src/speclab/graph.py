@@ -230,15 +230,11 @@ class Graph:
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """g1 + g2 on disjoint vertex sets; g2's labels shift up by g1.n."""
-    if g1.n + g2.n > MAX_VERTICES:
-        raise SizeLimitExceeded(f"{g1.n + g2.n} vertices exceeds the cap")
     rows = list(g1.rows) + [r << g1.n for r in g2.rows]
     return Graph(rows)
 
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union plus every edge between the two sides."""
-    if g1.n + g2.n > MAX_VERTICES:
-        raise SizeLimitExceeded(f"{g1.n + g2.n} vertices exceeds the cap")
     mask1 = (1 << g1.n) - 1
     mask2 = ((1 << g2.n) - 1) << g1.n
     rows = [r | mask2 for r in g1.rows]

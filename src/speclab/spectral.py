@@ -88,25 +88,28 @@ def load_numpy() -> None:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """The 0/1 adjacency matrix as floats: entry (u, v) is bit v of row u."""
+def adjacency_stack(row_sets: list[tuple[int, ...]], n: int) -> np.ndarray:
+    """The 0/1 adjacency matrices, as floats, of graphs on n vertices given
+    by their rows: entry (k, u, v) is bit v of row u of graph k."""
     import numpy as np
 
-    width = (g.n + 7) // 8
-    raw = b"".join(row.to_bytes(width, "little") for row in g.rows)
-    bits = np.frombuffer(raw, dtype=np.uint8).reshape(g.n, width)
-    return np.unpackbits(bits, axis=1, count=g.n, bitorder="little").astype(float)
+    width = (n + 7) // 8
+    raw = b"".join(row.to_bytes(width, "little") for rows in row_sets for row in rows)
+    bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(row_sets), n, width)
+    return np.unpackbits(bits, axis=2, count=n, bitorder="little").astype(float)
+
+
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    """The 0/1 adjacency matrix as floats: entry (u, v) is bit v of row u."""
+    return adjacency_stack([g.rows], g.n)[0]
 
 
 def screen_radii(row_sets: list[tuple[int, ...]], n: int) -> np.ndarray:
     """Largest adjacency eigenvalue of each graph, given by its rows, on
-    n <= 63 vertices: one stacked eigvalsh, on matrices unpacked from the
-    rows with shifts (entry (u, v) is bit v of row u)."""
+    n vertices: one stacked eigvalsh."""
     import numpy as np
 
-    rows = np.array(row_sets, dtype=np.int64).reshape(-1, n, 1)
-    stack = ((rows >> np.arange(n)) & 1).astype(float)
-    return np.linalg.eigvalsh(stack)[:, -1]
+    return np.linalg.eigvalsh(adjacency_stack(row_sets, n))[:, -1]
 
 
 def _component_power(sub: np.ndarray, tol: float, max_iter: int):

@@ -251,6 +251,65 @@ class TestExitCodes:
         assert json.loads(out)["match"] is False
 
 
+class TestContractPaths:
+    def test_minor_generic_pattern_has_a_verified_model(self, capsys):
+        from speclab.graph import g6_decode
+        from speclab.minor import MinorModel, verify_model
+
+        code, out, _ = invoke(capsys, ["minor", "--pattern", "Bw", "--host", "Bw"])
+        assert code == 0
+        answer = json.loads(out)
+        assert answer["status"] == "found"
+        model = answer["model"]
+        assert model["pattern_g6"] == "Bw"
+        k3 = g6_decode("Bw")
+        branch_sets = tuple(frozenset(s) for s in model["branch_sets"])
+        assert verify_model(k3, MinorModel(model["host_n"], k3, branch_sets))
+
+    def test_subgraph_budget_exhausted_exit(self, capsys):
+        argv = ["subgraph", "--pattern", "qt:t=2", "--host", "I~~~~~~~w", "--budget", "1"]
+        code, out, _ = invoke(capsys, argv)
+        assert code == 3
+        assert json.loads(out)["status"] == "exhausted"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["minor", "--pattern", "Bw", "--host", "Bw", "--budget", "0"], "node budget must be >= 1"),
+            (["search", "--constraint", "fs-minor:s=1", "--n", "4", "--workers", "-1"], "workers must be >= 0"),
+            (["lemmas", "--check", "l34", "--host", "DqK", "--A", "1,x"], "bad vertex list '1,x'"),
+            (["lemmas", "--check", "l34", "--host", "DqK", "--A", ","], "--A must name at least one vertex"),
+            (["verify", "--mode", "fs:t=1", "--n-from", "4", "--n-to", "4"], "mode must be"),
+        ],
+    )
+    def test_bad_values_are_usage_errors(self, capsys, argv, message):
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (1, "")
+        assert message in err
+
+    def test_verify_closed_form_disagreement_is_claim_failure(self, capsys, monkeypatch):
+        from speclab import search
+
+        real = search.rho_closed_form
+        monkeypatch.setattr(search, "rho_closed_form", lambda spec: real(spec) + 1e-6)
+        argv = ["verify", "--mode", "fs:s=1", "--n-from", "4", "--n-to", "4", "--workers", "1"]
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "disagrees with closed form" in err
+
+    @pytest.mark.parametrize("check", ["l34", "l54"])
+    def test_lemmas_side_flag_with_closure_check_is_usage_error(self, capsys, monkeypatch, check):
+        monkeypatch.setattr("speclab.cli.clique_closure_check", None)
+        argv = ["lemmas", "--check", check, "--host", K210, "--A", "0,1", "--B", "99"]
+        assert invoke(capsys, argv) == (1, "", f"speclab: --B is not read by {check}\n")
+
+    @pytest.mark.parametrize("check", ["l33", "l53"])
+    def test_lemmas_param_with_structure_check_is_usage_error(self, capsys, monkeypatch, check):
+        monkeypatch.setattr(f"speclab.cli.check_structure_{'fs' if check == 'l33' else 'qt'}", None)
+        argv = ["lemmas", "--check", check, "--host", K210, "--A", "0,1", "--param", "7"]
+        assert invoke(capsys, argv) == (1, "", f"speclab: --param is not read by {check}\n")
+
+
 class TestConfigPrecedence:
     def test_env_budget_applies(self, capsys, monkeypatch):
         monkeypatch.setenv("SPECLAB_BUDGET", "3")
@@ -358,6 +417,16 @@ class TestTextFormats:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize("check,host", [("l34", "DqK"), ("l54", "FqGOW")])
+    def test_lemmas_closure_exhausted_after_base_settles(self, capsys, check, host):
+        # the base search settles without a node; closing 0-3 needs more than one
+        argv = ["lemmas", "--check", check, "--host", host, "--A", "0,3", "--budget", "1"]
+        code, out, _ = invoke(capsys, argv)
+        assert code == 3
+        report = json.loads(out)
+        assert (report["base"]["status"], report["closed"]["status"]) == ("not_found", "exhausted")
+        assert report["ok"] is False
+
     def test_lemmas_closure_host_has_minor(self, capsys):
         k5 = g6_of(FamilySpec("complete", n=5))
         code, _, err = invoke(capsys, ["lemmas", "--check", "l34", "--host", k5, "--A", "0,1"])
@@ -392,6 +461,25 @@ class TestSubprocess:
         )
         assert p2.returncode == 0
         assert json.loads(p2.stdout)["status"] == "not_found"
+
+    @pytest.mark.parametrize(
+        "spec", ["independent:n=1000000000", "path:n=100000000", "complete:n=100000"]
+    )
+    def test_spec_over_the_cap_rejected_before_allocating(self, spec):
+        import resource
+
+        def two_gigabytes():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "speclab", "construct", spec],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=two_gigabytes,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert re.fullmatch(r"speclab: .* exceeds the cap of 4096\n", proc.stderr)
 
     def test_minor_queries_leave_numpy_unloaded(self):
         # numpy is imported only where a spectral radius is computed

@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
-from speclab.errors import InvalidSpec
+from speclab.errors import InvalidSpec, SizeLimitExceeded
 from speclab.families import (
+    _PARAMS,
     FamilySpec,
     Layout,
     construct,
@@ -12,7 +15,7 @@ from speclab.families import (
     parse_family_spec,
     zlx_extremal,
 )
-from speclab.graph import Graph, is_connected
+from speclab.graph import MAX_VERTICES, Graph, is_connected
 
 
 def degree_multiset(g):
@@ -300,3 +303,169 @@ class TestEdgeCountSweep:
             g1, _ = construct(parse_family_spec(text))
             g2, _ = construct(parse_family_spec(text))
             assert g1 == g2
+
+
+# -- the family builders as edge lists, kept here as the reference that
+# construct's graph-operation builders must reproduce row for row
+
+
+def _pairs(vs):
+    return [(x, y) for i, x in enumerate(vs) for y in vs[i + 1 :]]
+
+
+def _cross(xs, ys):
+    return [(x, y) for x in xs for y in ys]
+
+
+def _reference_hstar(s):
+    k = (s - 2) // 2
+    a1, a2 = list(range(1, 1 + k)), list(range(1 + k, 1 + 2 * k))
+    u0 = 1 + 2 * k
+    b1 = list(range(2 + 2 * k, 2 + 2 * k + s // 2))
+    b2 = list(range(2 + 2 * k + s // 2, 2 * s - 1))
+    edges = _cross([0], a1 + a2) + _cross([u0], a1 + b1) + list(zip(a2, b2))
+    edges += _pairs(a1 + a2) + _pairs(b1 + b2)
+    regions = {"w0": [0], "A1": a1, "A2": a2, "u0": [u0], "B1": b1, "B2": b2}
+    return 2 * s - 1, edges, regions
+
+
+def _reference_bipartite_with_embed(n, embed_n, embed_edges):
+    h = n // 2
+    edges = _cross(range(h), range(h, n)) + embed_edges
+    regions = {"embed": range(embed_n), "side0": range(embed_n, h), "side1": range(h, n)}
+    return n, edges, regions
+
+
+def _reference(spec):
+    """(order, edge list, regions in Layout order) of spec, built from edge lists."""
+    k, s, t, n = spec.kind, spec.s, spec.t, spec.n
+    if k in ("complete", "independent", "path", "cycle"):
+        edges = {
+            "complete": _pairs(range(n)),
+            "independent": [],
+            "path": [(i, i + 1) for i in range(n - 1)],
+            "cycle": [(i, (i + 1) % n) for i in range(n)],
+        }[k]
+        return n, edges, {"V": range(n)}
+    if k == "complete-bipartite":
+        a, b = spec.a, spec.b
+        return a + b, _cross(range(a), range(a, a + b)), {"A": range(a), "B": range(a, a + b)}
+    if k == "matching":
+        return t, [(2 * i, 2 * i + 1) for i in range(t // 2)], {"V": range(t)}
+    if k == "friendship":
+        edges = _cross([0], range(1, 2 * s + 1)) + [(2 * i + 1, 2 * i + 2) for i in range(s)]
+        return 2 * s + 1, edges, {"center": [0], "B": range(1, 2 * s + 1)}
+    if k == "intersecting-c4":
+        edges = []
+        for j in range(t):
+            x, y, z = 3 * j + 1, 3 * j + 2, 3 * j + 3
+            edges += [(0, x), (x, y), (y, z), (z, 0)]
+        return 3 * t + 1, edges, {"center": [0], "B": range(1, 3 * t + 1)}
+    if k in ("ks-join-independent", "kt-join-matching"):
+        q = s if k == "ks-join-independent" else t
+        edges = _pairs(range(q)) + _cross(range(q), range(q, n))
+        if k == "kt-join-matching":
+            edges += [(q + 2 * i, q + 2 * i + 1) for i in range((n - q) // 2)]
+        return n, edges, {"A": range(q), "B": range(q, n)}
+    if k == "hstar":
+        return _reference_hstar(s)
+    if k == "near-regular":
+        m = 2 * s - 1
+        return m, list(near_regular(s).edges()), {"V": range(m)}
+    if s % 2:
+        return _reference_bipartite_with_embed(n, 2 * s, _pairs(range(s)) + _pairs(range(s, 2 * s)))
+    if k == "efgg":
+        return _reference_bipartite_with_embed(n, 2 * s - 1, list(near_regular(s).edges()))
+    m, edges, _ = _reference_hstar(s)
+    return _reference_bipartite_with_embed(n, m, edges)
+
+
+def _differential_grid():
+    specs = []
+    for n in range(41):
+        specs += [FamilySpec(k, n=n) for k in ("complete", "independent", "path")]
+        if n >= 3:
+            specs.append(FamilySpec("cycle", n=n))
+        if n >= 1:
+            specs.append(FamilySpec("matching", t=n))
+    for q in range(1, 21):
+        specs += [FamilySpec("friendship", s=q), FamilySpec("intersecting-c4", t=q)]
+        if q % 2 == 0:
+            specs += [FamilySpec("hstar", s=q), FamilySpec("near-regular", s=q)]
+    for a in range(1, 13):
+        specs += [FamilySpec("complete-bipartite", a=a, b=b) for b in range(1, 13)]
+    for n in range(2, 31):
+        for q in range(1, n):
+            specs.append(FamilySpec("ks-join-independent", s=q, n=n))
+            specs.append(FamilySpec("kt-join-matching", t=q, n=n))
+    for s in range(1, 7):
+        low = max(4 * s, 2 * (2 * s - 1))
+        for n in range(low, low + 26):
+            specs += [FamilySpec("efgg", s=s, n=n), FamilySpec("zlx", s=s, n=n)]
+    return specs
+
+
+class TestGraphOperationBuilders:
+    def test_rows_and_layouts_match_edge_list_builders(self):
+        specs = _differential_grid()
+        assert len(specs) >= 1494
+        assert {spec.kind for spec in specs} == set(_PARAMS)
+        for spec in specs:
+            g, lay = construct(spec)
+            order, edges, regions = _reference(spec)
+            assert g.rows == Graph.from_edges(order, edges).rows, spec.text()
+            # region names, their order and every label, as --layout prints them
+            want = [(name, sorted(members)) for name, members in regions.items()]
+            assert (lay.n, list(lay.as_dict().items())) == (order, want), spec.text()
+
+
+# parameters giving about 10**9 vertices, per kind
+_HUGE = {
+    "complete": "n=1000000000",
+    "independent": "n=1000000000",
+    "path": "n=1000000000",
+    "cycle": "n=1000000000",
+    "complete-bipartite": "a=500000000,b=500000000",
+    "matching": "t=1000000000",
+    "friendship": "s=500000000",
+    "intersecting-c4": "t=333333333",
+    "ks-join-independent": "s=1,n=1000000000",
+    "kt-join-matching": "t=1,n=1000000000",
+    "efgg": "s=1,n=1000000000",
+    "zlx": "s=1,n=1000000000",
+    "hstar": "s=500000000",
+    "near-regular": "s=500000000",
+}
+
+
+class TestVertexCap:
+    @pytest.mark.parametrize("kind", sorted(_PARAMS))
+    def test_huge_spec_rejected_before_anything_is_built(self, kind):
+        start = time.process_time()
+        with pytest.raises(SizeLimitExceeded, match="exceeds the cap"):
+            construct(parse_family_spec(f"{kind}:{_HUGE[kind]}"))
+        assert time.process_time() - start < 1.0
+
+    def test_public_builders_check_the_cap_first(self):
+        start = time.process_time()
+        for build, args in (
+            (near_regular, (500000000,)),
+            (hstar, (500000000,)),
+            (efgg_extremal, (1, 10**9)),
+            (zlx_extremal, (1, 10**9)),
+        ):
+            with pytest.raises(SizeLimitExceeded):
+                build(*args)
+        assert time.process_time() - start < 1.0
+
+    def test_cap_is_inclusive(self):
+        g, _ = construct(parse_family_spec(f"independent:n={MAX_VERTICES}"))
+        assert g.n == MAX_VERTICES
+        for text in (
+            f"independent:n={MAX_VERTICES + 1}",
+            f"complete-bipartite:a=1,b={MAX_VERTICES}",
+            f"friendship:s={MAX_VERTICES // 2}",
+            f"zlx:s=1,n={MAX_VERTICES + 1}",
+        ):
+            with pytest.raises(SizeLimitExceeded, match=f"{MAX_VERTICES + 1} vertices"):
+                parse_family_spec(text)

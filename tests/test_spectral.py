@@ -253,6 +253,12 @@ class TestScreen:
             for g, screen in zip(graphs, radii.tolist()):
                 assert abs(screen - spectral_radius(g).rho) <= 1e-9, g.rows
 
+    def test_screen_radii_beyond_one_machine_word(self):
+        # rows of 82 bits, wider than one machine word
+        k, _ = construct(FamilySpec("complete-bipartite", a=2, b=80))
+        radii = screen_radii([k.rows, k.rows], k.n)
+        assert np.allclose(radii, math.sqrt(160), rtol=0, atol=1e-9)
+
 
 def _run_fresh(code, **env_set):
     """Last stdout line of code run in a fresh interpreter, with
