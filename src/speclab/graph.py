@@ -283,25 +283,26 @@ def _g6_header(n: int) -> bytes:
     # 18-bit size, three 6-bit groups, covers everything up to the cap
     return bytes([126, 63 + ((n >> 12) & 63), 63 + ((n >> 6) & 63), 63 + (n & 63)])
 
+
+# graph6 payload byte <-> its six bits, most significant first
+_BYTE_OF_CHUNK = {format(x, "06b"): 63 + x for x in range(64)}
+_CHUNK_OF_BYTE = {63 + x: format(x, "06b") for x in range(64)}
+
+
 def g6_encode(g: Graph) -> bytes:
-    """graph6 bytes: header, then upper-triangle bits column by column."""
+    """graph6 bytes: header, then upper-triangle bits column by column.
+
+    Column v is the low v bits of rows[v], bit (0,v) first, so each is one
+    reversed binary string and the payload is linear in n(n-1)/2.
+    """
     n = g.n
-    out = bytearray(_g6_header(n))
-    acc = 0
-    nbits = 0
-    for v in range(1, n):
-        col = 0
-        rv = g.rows[v]
-        for u in range(v):  # bit (0,v) first, most significant
-            col = (col << 1) | ((rv >> u) & 1)
-        acc = (acc << v) | col
-        nbits += v
-    pad = (-nbits) % 6
-    acc <<= pad
-    nbits += pad
-    for k in range(nbits - 6, -1, -6):
-        out.append(63 + ((acc >> k) & 63))
-    return bytes(out)
+    bits = "".join(
+        format(g.rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n)
+    )
+    bits += "0" * (-len(bits) % 6)
+    payload = bytes([_BYTE_OF_CHUNK[bits[i : i + 6]] for i in range(0, len(bits), 6)])
+    return _g6_header(n) + payload
+
 
 def g6_decode(data: bytes | str) -> Graph:
     """Inverse of g6_encode; rejects bad bytes and nonzero padding."""
@@ -333,25 +334,21 @@ def g6_decode(data: bytes | str) -> Graph:
     expect = (nbits + 5) // 6
     if len(body) != expect:
         raise MalformedGraph6(f"expected {expect} payload bytes, got {len(body)}")
-    acc = 0
-    for b in body:
-        x = b - 63
-        if x < 0 or x > 63:
-            raise MalformedGraph6("payload byte out of range")
-        acc = (acc << 6) | x
-    pad = expect * 6 - nbits
-    if acc & ((1 << pad) - 1):
+    try:
+        bits = "".join([_CHUNK_OF_BYTE[b] for b in body])
+    except KeyError:
+        raise MalformedGraph6("payload byte out of range") from None
+    if "1" in bits[nbits:]:
         raise MalformedGraph6("nonzero padding bits")
-    acc >>= pad
-    rows = [0] * n
-    shift = nbits
-    for v in range(1, n):
-        shift -= v
-        col = (acc >> shift) & ((1 << v) - 1)  # bit (0,v) most significant
-        for u in range(v):
-            if (col >> (v - 1 - u)) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
+    # the lower triangle as an n x n string: line v is column v (bit u at
+    # index u) padded with zeros, so grid[v::n] is the rest of row v
+    lines = []
+    at = 0
+    for v in range(n):
+        lines.append(bits[at : at + v] + "0" * (n - v))
+        at += v
+    grid = "".join(lines)
+    rows = [int(lines[v][::-1], 2) | int(grid[v::n][::-1], 2) for v in range(n)]
     return Graph(rows)
 
 

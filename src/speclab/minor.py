@@ -196,6 +196,26 @@ class _Engine:
                 return a, b
         return None
 
+    def _attach(self, side: int, verts) -> tuple:
+        """Grow set `side` by verts; returns what _detach needs to undo it."""
+        rows = self.host.rows
+        mask = 0
+        nbr = self.nbrs[side]
+        for v in verts:
+            mask |= 1 << v
+            nbr |= rows[v]
+        saved = (side, self.sets[side], self.nbrs[side], mask)
+        self.sets[side] |= mask
+        self.nbrs[side] = nbr
+        self.used |= mask
+        return saved
+
+    def _detach(self, saved: tuple) -> None:
+        side, old_set, old_nbr, mask = saved
+        self.sets[side] = old_set
+        self.nbrs[side] = old_nbr
+        self.used &= ~mask
+
     def _dfs(self) -> bool:
         self.nodes += 1
         if self.nodes > self.budget:
@@ -205,13 +225,14 @@ class _Engine:
             k = len(self.sets)
             if k == len(self.order):
                 return True
-            if self.host.n - self.used.bit_count() < len(self.order) - k:
+            free = ((1 << self.host.n) - 1) & ~self.used
+            if free.bit_count() < len(self.order) - k:
                 return False
             pdeg = self.pos_degree[k]
-            for v in range(self.host.n):
-                bit = 1 << v
-                if self.used & bit:
-                    continue
+            while free:  # free vertices in ascending order
+                bit = free & -free
+                free ^= bit
+                v = bit.bit_length() - 1
                 if pdeg > 0 and not self.host.rows[v]:
                     continue
                 if self.seed_filter and not self.seed_filter(k, v, self.seeds):
@@ -231,30 +252,14 @@ class _Engine:
         rows = self.host.rows
         path: list[int] = []
 
-        def attach(side: int, verts) -> tuple:
-            mask = 0
-            saved = (side, self.sets[side], self.nbrs[side])
-            for v in verts:
-                mask |= 1 << v
-                self.nbrs[side] |= rows[v]
-            self.sets[side] |= mask
-            self.used |= mask
-            return saved + (mask,)
-
-        def detach(saved: tuple) -> None:
-            side, old_set, old_nbr, mask = saved
-            self.sets[side] = old_set
-            self.nbrs[side] = old_nbr
-            self.used &= ~mask
-
         def try_splits() -> bool:
             for i in range(len(path) + 1):
-                ta = attach(a, path[:i])
-                tb = attach(b, path[i:])
+                ta = self._attach(a, path[:i])
+                tb = self._attach(b, path[i:])
                 if self._dfs():
                     return True
-                detach(tb)
-                detach(ta)
+                self._detach(tb)
+                self._detach(ta)
             return False
 
         def extend(pmask: int) -> bool:

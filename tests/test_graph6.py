@@ -12,7 +12,9 @@ import random
 import pytest
 
 from speclab.errors import MalformedGraph6, SizeLimitExceeded
+from speclab.families import FamilySpec, construct
 from speclab.graph import (
+    MAX_VERTICES,
     Graph,
     canonical_code,
     canonical_perm,
@@ -30,12 +32,13 @@ def reference_g6(n, edge_pred):
         head = chr(n + 63)
     else:
         head = "~" + chr(63 + ((n >> 12) & 63)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
-    bits = ""
+    bits = []  # a list, since += on one long str copies it
     for v in range(1, n):
         for u in range(v):
-            bits += "1" if edge_pred(u, v) else "0"
+            bits.append("1" if edge_pred(u, v) else "0")
     while len(bits) % 6:
-        bits += "0"
+        bits.append("0")
+    bits = "".join(bits)
     body = "".join(chr(int(bits[i : i + 6], 2) + 63) for i in range(0, len(bits), 6))
     return (head + body).encode("ascii")
 
@@ -85,6 +88,30 @@ class TestEncode:
                             edges.append((u, v))
                 g = Graph.from_edges(n, edges)
                 assert g6_decode(g6_encode(g)) == g
+
+    def test_matches_reference_up_to_200(self):
+        # the packed codec against the bit-by-bit encoder, both directions
+        rng = random.Random(404)
+        for _ in range(60):
+            n = rng.randint(1, 200)
+            g = random_graph(rng, n, rng.choice([0.05, 0.5, 0.95]))
+            ref = reference_g6(n, g.has_edge)
+            assert g6_encode(g) == ref
+            assert g6_decode(ref) == g
+
+    def test_round_trip_at_cap(self):
+        rng = random.Random(505)
+        n = MAX_VERTICES
+        g = Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n)] + [(0, n - 1)])
+        enc = g6_encode(g)
+        assert len(enc) == 4 + (n * (n - 1) // 2 + 5) // 6
+        assert g6_decode(enc) == g
+
+    @pytest.mark.slow
+    def test_efgg_4000_matches_reference(self):
+        g, _ = construct(FamilySpec("efgg", s=3, n=4000))
+        edges = set(g.edges())
+        assert g6_encode(g) == reference_g6(g.n, lambda u, v: (u, v) in edges)
 
     def test_round_trip_large(self):
         rng = random.Random(303)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -366,6 +367,40 @@ class TestKernelAndRank:
         got = has_fs_minor(g, 2)
         assert want.status == got.status == NOT_FOUND
         assert got.nodes_used == want.nodes_used
+
+
+def closure_hosts():
+    """K_{2,5} plus three pendants, shaped like the benchmark's closure
+    inputs, each without and with the edge between the two hubs."""
+    rng = random.Random(990)
+    hosts = []
+    for _ in range(8):
+        edges = [(u, v) for u in range(2) for v in range(2, 7)]
+        edges += [(k, rng.randrange(k)) for k in range(7, 10)]
+        hosts.append(Graph.from_edges(10, edges))
+        hosts.append(Graph.from_edges(10, edges + [(0, 1)]))
+    return hosts
+
+
+class TestSearchTree:
+    # sha256 over every (status, nodes_used, branch sets) below, computed
+    # at commit 512ac0d, with the engine as it stood before the seeding
+    # loop walked the free mask and attach/detach became methods; any
+    # change to seed order, obligation order or path order moves
+    # nodes_used or a model
+    DIGEST = "148f4193f32596eca4683e838a4c0aac897ac3158b869fa0497bac61c56297c4"
+
+    def test_node_counts_and_models_pinned(self):
+        queries = [lambda g, s=s: has_fs_minor(g, s) for s in (1, 2)]
+        queries += [lambda g, t=t: has_qt_minor(g, t) for t in (1, 2)]
+        queries += [lambda g, p=p: find_minor_model(g, p) for p in (complete(4), cycle(5))]
+        h = hashlib.sha256()
+        for g in kernel_corpus() + closure_hosts():
+            for query in queries:
+                ans = query(g)
+                sets = [sorted(s) for s in ans.model.branch_sets] if ans.model else None
+                h.update(repr((ans.status, ans.nodes_used, sets)).encode())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestCycleOracles:
