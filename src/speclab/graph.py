@@ -16,6 +16,7 @@ string over all relabelings, found by a pruned permutation descent.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -37,6 +38,51 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _transpose_masks(size: int) -> tuple:
+    """What transposes a size x size bit matrix packed row by row, size
+    bits a row, for size a power of two >= 8: the delta swaps (shift,
+    mask) that exchange the upper right and lower left b x b blocks of
+    every 2b x 2b block, for b = size/2 down to 1 (Warren, Hacker's
+    Delight, 2nd ed., section 7-3), and the mask of the diagonal."""
+    width = size // 8
+    swaps = []
+    b = size // 2
+    while b:
+        blocks = size // (2 * b)
+        # columns c with c mod 2b >= b, on the rows r with r mod 2b < b
+        row = int(("1" * b + "0" * b) * blocks, 2).to_bytes(width, "little")
+        mask = int.from_bytes((row * b + bytes(width * b)) * blocks, "little")
+        swaps.append((b * (size - 1), mask))
+        b //= 2
+    diagonal = int("1" + ("0" * size + "1") * (size - 1), 2)
+    return tuple(swaps), diagonal
+
+
+# the masks of small matrices, which every enumerated graph needs; larger
+# ones are built per call, in time linear in their size
+_TRANSPOSE_MASKS = {size: _transpose_masks(size) for size in (8, 16, 32, 64)}
+
+
+def _invalid_rows(rows: tuple, transpose: int | None, size: int) -> ValueError:
+    """The error for rows that Graph rejects, given the transpose of their
+    packed matrix, which is None when a row did not fit size bits."""
+    n = len(rows)
+    for u, r in enumerate(rows):
+        if r < 0 or r >> n:
+            return ValueError(f"row {u} has bits outside 0..{n - 1}")
+        if (r >> u) & 1:
+            return ValueError(f"loop at vertex {u}")
+    width = size // 8
+    packed = transpose.to_bytes(size * width, "little")
+    for u, r in enumerate(rows):
+        column = int.from_bytes(packed[u * width : (u + 1) * width], "little")
+        lone = (r & ~column) >> (u + 1)
+        if lone:
+            v = u + (lone & -lone).bit_length()
+            return ValueError(f"edge {u}-{v} present in one direction only")
+    return ValueError("adjacency rows are not symmetric")
+
+
 class Graph:
     """Simple undirected graph; no loops, no multi-edges, vertices 0..n-1."""
 
@@ -47,29 +93,25 @@ class Graph:
         n = len(rows)
         if n > MAX_VERTICES:
             raise SizeLimitExceeded(f"{n} vertices exceeds the cap of {MAX_VERTICES}")
-        total = 0
-        edge_count = 0
-        for u, r in enumerate(rows):
-            if r < 0 or r >> n:
-                raise ValueError(f"row {u} has bits outside 0..{n - 1}")
-            if (r >> u) & 1:
-                raise ValueError(f"loop at vertex {u}")
-            total += r.bit_count()
-            # every bit above the diagonal needs its mirror; the total check
-            # below then leaves no room for an unmirrored bit under it
-            m = r >> (u + 1) << (u + 1)
-            edge_count += m.bit_count()
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                if not (rows[v] >> u) & 1:
-                    raise ValueError(f"edge {u}-{v} present in one direction only")
-                m ^= low
-        if total != 2 * edge_count:
-            raise ValueError("adjacency rows are not symmetric")
+        # the matrix as one int, row u at bits u*size.., padded with empty
+        # rows to size x size, equals its transpose iff it is symmetric and
+        # no row has a bit in columns n..size-1; to_bytes rejects a
+        # negative row or one wider than size bits
+        size = max(8, 1 << (n - 1).bit_length())
+        swaps, diagonal = _TRANSPOSE_MASKS.get(size) or _transpose_masks(size)
+        try:
+            packed = b"".join(map(int.to_bytes, rows, repeat(size // 8), repeat("little")))
+        except OverflowError:
+            raise _invalid_rows(rows, None, size) from None
+        m = t = int.from_bytes(packed, "little")
+        for shift, mask in swaps:
+            d = (t ^ (t >> shift)) & mask
+            t ^= d | (d << shift)
+        if t != m or m & diagonal:
+            raise _invalid_rows(rows, t, size)
         self.n = n
         self.rows = rows
-        self.edge_count = edge_count
+        self.edge_count = m.bit_count() // 2
 
     # -- constructors ------------------------------------------------------
 

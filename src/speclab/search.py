@@ -39,15 +39,22 @@ exhausted_count can only fall, and only for a graph whose own test
 would run out of budget while an ancestor has a certified model.
 
 Radii come from two methods.  Each scan screens its feasible graphs,
-SCREEN_BATCH at a time, with one stacked eigvalsh and keeps those within
-SCREEN_WINDOW = RECHECK_WINDOW + 2 RECHECK_TOLERANCE of its best screen
-radius, which is at most the global best S.  After the merge, power
-iteration (spectral_radius) runs only on the candidates, the graphs
-within SCREEN_WINDOW of S; each result is checked against its screen
-value to RECHECK_TOLERANCE, and best_rho and the maximizers come from
-the power-iteration values.  The report is that of a search that ran
-power iteration on every feasible graph, took the best value P, and
-checked every graph within RECHECK_WINDOW of P against eigvalsh.
+a whole SCREEN_BATCH at a time, with one stacked eigvalsh and keeps
+those within SCREEN_WINDOW = RECHECK_WINDOW + 2 RECHECK_TOLERANCE of its
+best screen radius so far; it hands its last, partial batch to the merge
+unscreened, and the merge screens those batches the same way.  Every cut
+compares with a best that is at most the global best S, so a graph
+within SCREEN_WINDOW of S survives every cut, and the merge then keeps
+exactly the feasible graphs within SCREEN_WINDOW of S, the candidates,
+however the graphs were split into batches and shares.  eigvalsh
+computes each matrix of a stack on its own, so a graph's screen radius
+does not depend on its batch either.  Power iteration (spectral_radius)
+runs only on the candidates, in the order of their rows; each result is
+checked against its screen value to RECHECK_TOLERANCE, and best_rho and
+the maximizers come from the power-iteration values.  The report is
+that of a search that ran power iteration on every feasible graph, took
+the best value P, and checked every graph within RECHECK_WINDOW of P
+against eigvalsh.
 Soundness: power iteration returns a Rayleigh quotient x.Ax / x.x, which
 never exceeds the largest eigenvalue lambda, and eigvalsh returns lambda
 to within rounding; the two roundings together are about 1e-14 for
@@ -118,6 +125,9 @@ RECHECK_TOLERANCE = 1e-8
 # (module docstring); feasible rows are screened this many at a time
 SCREEN_WINDOW = RECHECK_WINDOW + 2 * RECHECK_TOLERANCE
 SCREEN_BATCH = 4096
+# a parallel search cuts level n-1 into this many shares per process, so
+# a late start or a costly share is evened out by the others
+SHARES_PER_WORKER = 8
 
 _CONSTRAINT_RE = re.compile(r"^(fs|qt)-(minor|subgraph)-free:([st])=(\d+)$")
 
@@ -210,16 +220,20 @@ def _holds(family, relation, param, budget, rows):
 
 def _screened(keep, batch):
     """keep plus the batch's (screen radius, rows) pairs, cut to the
-    entries within SCREEN_WINDOW of their best."""
+    entries within SCREEN_WINDOW of their best.  numpy is loaded here, so
+    a process that screens nothing never imports it."""
+    load_numpy()
     keep = keep + list(zip(screen_radii(batch, len(batch[0])).tolist(), batch))
     best = max(rho for rho, _ in keep)
     return [e for e in keep if e[0] >= best - SCREEN_WINDOW]
 
 
 def _scan(parents, holds):
-    """Test and screen the children of parents, (rows, inherited) pairs of
-    one level.  holds is _holds bound to the constraint; the walk tests
-    the parents with it, and the scan each child with its arguments."""
+    """Test the children of parents, (rows, inherited) pairs of one level,
+    and screen the feasible ones a whole SCREEN_BATCH at a time.  holds is
+    _holds bound to the constraint; the walk tests the parents with it,
+    and the scan each child with its arguments.  Returns the counts,
+    keep, and the last batch, which is left for the merge to screen."""
     enumerated = feasible = exhausted = 0
     keep: list[tuple[float, tuple[int, ...]]] = []
     batch: list[tuple[int, ...]] = []
@@ -235,9 +249,74 @@ def _scan(parents, holds):
             batch.append(rows)
             if len(batch) == SCREEN_BATCH:
                 keep, batch = _screened(keep, batch), []
-    if batch:
-        keep = _screened(keep, batch)
-    return enumerated, feasible, exhausted, keep
+    return enumerated, feasible, exhausted, keep, batch
+
+
+def _shares(parents, size, taken):
+    """parents in consecutive shares of size, each share going to the
+    process that asks for it first; taken, a shared integer, counts the
+    parents handed out by all processes."""
+    while True:
+        with taken.get_lock():
+            start = taken.value
+            taken.value = start + size
+        if start >= len(parents):
+            return
+        yield from parents[start : start + size]
+
+
+def _child_scan(send, parents, size, taken, holds):
+    """A forked worker: _scan over the shares it takes, and its result, or
+    the exception that stopped it, sent back through send."""
+    try:
+        result = _scan(_shares(parents, size, taken), holds)
+    except Exception as exc:  # re-raised by the search process
+        result = exc
+    send.send(result)
+
+
+def _child_result(child, receive):
+    """What a forked worker sent: its _scan result, or its exception,
+    raised again with its type, since exit codes come from the types."""
+    try:
+        result = receive.recv()
+    except EOFError:  # the worker ended before it sent anything
+        result = None
+    child.join()
+    if result is None:
+        raise RuntimeError(f"search worker exited with code {child.exitcode} without a result")
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _parallel_scan(parents, holds, workers):
+    """The _scan results of workers processes that take level n-1 share by
+    share.  The search process is one of them: it forks the others first,
+    then loads numpy while they scan, and scans too.  The workers are
+    terminated and joined on every path."""
+    parents = list(parents)
+    # forked, so the workers share parents and holds without pickling; a
+    # search forks before it loads numpy, so no BLAS thread is copied
+    ctx = multiprocessing.get_context("fork")
+    taken = ctx.Value("i", 0)
+    size = -(-len(parents) // (SHARES_PER_WORKER * workers))
+    children = []
+    try:
+        for _ in range(workers - 1):
+            receive, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_child_scan, args=(send, parents, size, taken, holds))
+            child.start()
+            children.append((child, receive))
+            send.close()
+        load_numpy()
+        partials = [_scan(_shares(parents, size, taken), holds)]
+        return partials + [_child_result(*c) for c in children]
+    finally:
+        for child, receive in children:
+            child.terminate()
+            child.join()
+            receive.close()
 
 
 def _power_radius(screen, rows):
@@ -275,10 +354,17 @@ def extremal_search(
 ) -> SearchReport:
     """Maximize rho over connected n-vertex graphs passing the constraint.
 
-    With more workers, each tests and extends its share of level n-1,
-    which the search lists once and deals round-robin; the merge is
-    associative, so any worker count yields the identical report.  numpy
-    is loaded first, through load_numpy.  Radii are screened by eigvalsh
+    With more workers, the search lists level n-1 once and cuts it into
+    consecutive shares; the search process and workers - 1 forked workers
+    each take the next share from one shared counter, test its parents
+    and scan their children.  The children of a parent depend on that
+    parent and its verdict alone, so any split finds the same graphs, and
+    the merge is associative, so any worker count yields the identical
+    report.  The workers are forked before numpy is loaded, and each
+    loads it, through load_numpy, at its first full screen batch; the
+    search process loads it while they scan.  An exception in a worker is
+    raised again in the search, and a worker that dies without a result
+    raises RuntimeError.  Radii are screened by eigvalsh
     and confirmed by power iteration near the top, where a disagreement
     raises VerificationFailed, as does a maximizer that still passes the
     constraint with an edge added (module docstring).  A graph is
@@ -297,26 +383,27 @@ def extremal_search(
     # built first, so a join its spec rules out (s >= n) fails before the scan
     g_pred, _ = construct(predicted_spec(constraint, n))
     pred_g6 = canonical_code(g_pred).decode("ascii")
-    load_numpy()
     holds = functools.partial(_holds, *parse_constraint(constraint), node_budget)
     parents = connected_rows(n - 1, holds)
     if workers == 1:
         partials = [_scan(parents, holds)]
     else:
-        parents = list(parents)
-        ctx = multiprocessing.get_context("fork")
-        jobs = [(parents[i::workers], holds) for i in range(workers)]
-        with ctx.Pool(workers) as pool:
-            partials = pool.starmap(_scan, jobs)
+        partials = _parallel_scan(parents, holds, workers)
     enumerated = sum(p[0] for p in partials)
     feasible = sum(p[1] for p in partials)
     exhausted = sum(p[2] for p in partials)
     keep = [e for p in partials for e in p[3]]
+    for *_, batch in partials:
+        if batch:
+            keep = _screened(keep, batch)
     top = max((screen for screen, _ in keep), default=None)
     best = None
     maximizers: tuple[str, ...] = ()
     if top is not None:
-        near = [(_power_radius(*e), e[1]) for e in keep if e[0] >= top - SCREEN_WINDOW]
+        # in row order, so a failed check names the same graph for any
+        # worker count
+        candidates = sorted((e for e in keep if e[0] >= top - SCREEN_WINDOW), key=lambda e: e[1])
+        near = [(_power_radius(*e), e[1]) for e in candidates]
         best = max(rho for rho, _ in near)
         tied = (rows for rho, rows in near if rho >= best - TIE_TOLERANCE)
         maximizers = tuple(sorted(canonical_code(Graph(rows)).decode("ascii") for rows in tied))

@@ -26,8 +26,9 @@ CPU during the import and the half second after it.
 The searches load numpy through load_numpy(), which pins OpenBLAS to one
 thread for that first import unless the caller set OPENBLAS_NUM_THREADS,
 and removes the variable again.  OpenBLAS sizes its pool once, when it
-is loaded, so the pin holds for the rest of that process, forked search
-workers included.  Search matrices have at most CANONICAL_MAX_VERTICES
+is loaded, so the pin holds for the rest of that process.  A parallel
+search forks its workers before numpy is loaded, so each worker that
+screens makes its own first import, through load_numpy too.  Search matrices have at most CANONICAL_MAX_VERTICES
 rows, too small for OpenBLAS to thread, so a pool thread would only spin
 beside the single-threaded search.  Every other first import, such as
 the rho command's on a large family, keeps the default pool, which

@@ -72,6 +72,36 @@ def random_graph(rng, n, p):
     return Graph.from_edges(n, edges)
 
 
+def edge_by_edge_graph(rows):
+    """The edge count Graph(rows) gives, by the checker Graph used before
+    its transpose test: each bit above the diagonal looks up its mirror,
+    and the bit total catches an unmirrored bit below it."""
+    n = len(rows)
+    total = edge_count = 0
+    for u, r in enumerate(rows):
+        if r < 0 or r >> n:
+            raise ValueError(f"row {u} has bits outside 0..{n - 1}")
+        if (r >> u) & 1:
+            raise ValueError(f"loop at vertex {u}")
+        total += r.bit_count()
+        m = r >> (u + 1) << (u + 1)
+        edge_count += m.bit_count()
+        for v in iter_bits(m):
+            if not (rows[v] >> u) & 1:
+                raise ValueError(f"edge {u}-{v} present in one direction only")
+    if total != 2 * edge_count:
+        raise ValueError("adjacency rows are not symmetric")
+    return edge_count
+
+
+def outcome(build, rows):
+    try:
+        got = build(rows)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return got.edge_count if isinstance(got, Graph) else got
+
+
 # -- construction ----------------------------------------------------------
 
 
@@ -93,6 +123,31 @@ class TestConstruction:
         # but the walk above the diagonal counts only the edge 0-1
         with pytest.raises(ValueError, match="not symmetric"):
             Graph([0b010, 0b001, 0b011])
+
+    @pytest.mark.parametrize("fault", ["none", "flips", "loop", "wide", "negative"])
+    def test_matches_edge_by_edge_checker(self, fault):
+        # one kind of fault per row set, so both checkers meet the same one
+        rng = random.Random(f"symmetry/{fault}")
+        for n in range(0 if fault == "none" else 2, 65):
+            for _ in range(8):
+                rows = list(random_graph(rng, n, rng.choice((0.1, 0.5, 0.9))).rows)
+                u = rng.randrange(n) if n else 0
+                if fault == "flips":
+                    for _ in range(rng.randint(1, 3)):
+                        u, v = rng.sample(range(n), 2)
+                        rows[u] ^= 1 << v
+                elif fault == "loop":
+                    rows[u] |= 1 << u
+                elif fault == "wide":
+                    rows[u] |= 1 << rng.choice((n, n + 1, n + 9, 2 * n + 70))
+                elif fault == "negative":
+                    rows[u] = -1 - rows[u]
+                got, want = outcome(Graph, rows), outcome(edge_by_edge_graph, rows)
+                if fault == "negative":
+                    # the negative row also breaks the mirrors of the rows
+                    # before it, which the edge-by-edge checker meets first
+                    got, want = got[0], want[0]
+                assert got == want, rows
 
     def test_rejects_loop(self):
         with pytest.raises(ValueError):

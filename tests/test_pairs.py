@@ -43,6 +43,16 @@ class TestSummarize:
         assert m["change"]["median"] == 0.9
         assert m["change_wins"] == 10
 
+    def test_small_values_keep_four_significant_digits(self):
+        # a query latency of about 0.008 ms, moved by 3 %
+        before = [v * 0.0082345 for v in PARENT]
+        m = verdict("wall_s", before, [v * 0.97 for v in before])
+        assert m["parent"]["median"] == 0.008235
+        assert m["change"]["median"] == 0.007987
+        assert m["parent"]["runs"][0] == 0.007987
+        assert pairs.rounded(12345.678912) == 12345.6789
+        assert pairs.rounded(0.0) == 0.0
+
     def test_claim_needs_nine_tenths_of_pairs(self):
         after = [v - 0.1 for v in PARENT]
         assert verdict("wall_s", PARENT, after)["claim_met"]

@@ -3,6 +3,8 @@ import functools
 import json
 import math
 import multiprocessing
+import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -350,6 +352,118 @@ class TestExtremalSearch:
                 extremal_search(8, "fs-subgraph-free:s=8", workers=workers)
         with pytest.raises(ValueError):
             extremal_search(0, "fs-minor-free:s=1")
+
+
+def at_level(n, in_search, in_workers):
+    """A search._test_graph that calls in_search or in_workers, by the
+    process it runs in, before testing a graph on n vertices."""
+    search_pid = os.getpid()
+    real = search._test_graph
+
+    def planted(g, *args):
+        if g.n == n:
+            (in_search if os.getpid() == search_pid else in_workers)()
+        return real(g, *args)
+
+    return planted
+
+
+class TestWorkers:
+    """The search process scans shares of level n - 1 beside its forked
+    workers; shares go to whichever process asks first."""
+
+    @pytest.mark.parametrize(
+        "constraint", ["fs-minor-free:s=1", "fs-subgraph-free:s=1", "qt-minor-free:t=1"]
+    )
+    def test_reports_match_for_one_to_four_workers(self, constraint):
+        for n in (3, 7):  # at n = 3 level 2 is one share, fewer than the workers
+            want = extremal_search(n, constraint).to_json(include_elapsed=False)
+            for workers in (2, 3, 4):
+                got = extremal_search(n, constraint, workers=workers)
+                assert got.to_json(include_elapsed=False) == want
+                assert multiprocessing.active_children() == []
+
+    def test_workers_screen_whole_batches(self, monkeypatch):
+        n, constraint = 7, "fs-subgraph-free:s=1"
+        want = extremal_search(n, constraint).to_json(include_elapsed=False)
+        monkeypatch.setattr(search, "SCREEN_BATCH", 3)
+        assert extremal_search(n, constraint).to_json(include_elapsed=False) == want
+        screened = multiprocessing.Event()  # made before the fork, shared
+        search_pid = os.getpid()
+        real = search.screen_radii
+
+        def counted(row_sets, n):
+            if os.getpid() != search_pid:
+                screened.set()
+            return real(row_sets, n)
+
+        monkeypatch.setattr(search, "screen_radii", counted)
+        # the search process waits at its first graph until a worker has
+        # screened a batch, so the workers take shares meanwhile
+        wait = functools.partial(screened.wait, timeout=60)
+        monkeypatch.setattr(search, "_test_graph", at_level(n, wait, lambda: None))
+        for workers in (2, 3, 4):
+            got = extremal_search(n, constraint, workers=workers)
+            assert got.to_json(include_elapsed=False) == want
+        assert screened.is_set()
+
+    def test_exception_in_a_worker_reaches_the_caller_with_its_type(self, monkeypatch):
+        failed = multiprocessing.Event()  # made before the fork, shared
+
+        def fail():
+            failed.set()
+            raise VerificationFailed("planted")
+
+        # the search process waits at its first graph of level 7 until the
+        # worker has failed, so the worker takes shares meanwhile
+        wait = functools.partial(failed.wait, timeout=60)
+        monkeypatch.setattr(search, "_test_graph", at_level(7, wait, fail))
+        with pytest.raises(VerificationFailed, match="planted"):
+            extremal_search(7, "fs-subgraph-free:s=1", workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_exception_in_the_search_process_stops_the_workers(self, monkeypatch):
+        never, woke = multiprocessing.Event(), multiprocessing.Event()
+
+        def fail():
+            raise VerificationFailed("planted")
+
+        def stall():
+            never.wait(timeout=30)
+            woke.set()
+
+        # a worker stalls at its first graph of level 7, so the search
+        # process takes the other shares and fails while the worker runs
+        monkeypatch.setattr(search, "_test_graph", at_level(7, fail, stall))
+        with pytest.raises(VerificationFailed, match="planted"):
+            extremal_search(7, "fs-subgraph-free:s=1", workers=2)
+        assert multiprocessing.active_children() == []
+        assert not woke.is_set()  # terminated, not waited for
+
+    def test_worker_that_dies_is_named_by_its_exit_code(self, monkeypatch):
+        died = multiprocessing.Event()
+
+        def die():
+            died.set()
+            os._exit(3)
+
+        wait = functools.partial(died.wait, timeout=60)
+        monkeypatch.setattr(search, "_test_graph", at_level(7, wait, die))
+        with pytest.raises(RuntimeError, match="exited with code 3 without a result"):
+            extremal_search(7, "fs-subgraph-free:s=1", workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_failed_power_check_names_one_graph_for_any_worker_count(self, monkeypatch):
+        # every feasible graph ties on the screen and fails its power check,
+        # so the check fails at the candidate with the least rows
+        statuses, _ = reference_search(7, "fs-subgraph-free:s=1", DEFAULT_NODE_BUDGET)
+        first = min(rows for rows, status in statuses.items() if status == NOT_FOUND)
+        g6 = canonical_code(Graph(first)).decode("ascii")
+        monkeypatch.setattr(search, "screen_radii", lambda row_sets, n: np.ones(len(row_sets)))
+        monkeypatch.setattr(search, "spectral_radius", lambda g: SimpleNamespace(rho=2.0))
+        for workers in (1, 2, 3):
+            with pytest.raises(VerificationFailed, match=f"for {re.escape(g6)},"):
+                extremal_search(7, "fs-subgraph-free:s=1", workers=workers)
 
 
 class TestParentRule:

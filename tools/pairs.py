@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -58,13 +59,21 @@ def spread(values: list[float]) -> tuple[float, float, float]:
     return statistics.median(values), q1, q3
 
 
+def rounded(value: float) -> float:
+    """value to 4 decimals, or to 4 significant digits where that keeps
+    more of a value below 1, such as a query latency of 0.008 ms."""
+    if value == 0 or not math.isfinite(value):
+        return value
+    return round(value, max(4, 3 - math.floor(math.log10(abs(value)))))
+
+
 def side(values: list[float]) -> dict:
     median, q1, q3 = spread(values)
     return {
-        "median": round(median, 4),
-        "q1": round(q1, 4),
-        "q3": round(q3, 4),
-        "runs": [round(v, 4) for v in values],
+        "median": rounded(median),
+        "q1": rounded(q1),
+        "q3": rounded(q3),
+        "runs": [rounded(v) for v in values],
     }
 
 
