@@ -49,8 +49,15 @@ no decision because:
    smaller in every later round: each round refines the last without
    reordering it.  The first round is the degree, so color order refines
    degree order.  Hence _accept may return False at the first round in
-   which m's color exceeds the minimum over the candidates, and the
-   stable colors, which it then needs, are those of the last round.
+   which m's color exceeds the minimum over the other candidates, and
+   True at the first in which it is below that minimum: m then has the
+   least stable color alone, so no tied vertex lies outside its orbit
+   and 7 accepts.  When a round splits no class of the last one, its
+   colors are the last ones mapped by an increasing function, so the
+   next round's keys are this round's mapped likewise and split nothing
+   either: the classes and their order are stable from the last round
+   on, so _wl_rounds stops there without yielding the new one.  When the
+   degrees are already equitable, the degrees are the stable colors.
 5. A vertex w of P is non-cut in P+S iff every component of P-w meets
    S (none holds w), and its degree there is deg_P(w) + [w in S].  By 4,
    m is rejected when such a w has degree below |S|, and accepted
@@ -65,9 +72,10 @@ no decision because:
    rejected by 5.  Automorphisms of P preserve |S|, so every orbit lies
    wholly among the subsets of at most cap elements or wholly outside.
    _children walks only those subsets, in ascending order, from a list
-   built once per (m, cap); leaving the others out touches no mark of a
-   walked orbit, and by 2 the walk tests the smallest member of every
-   orbit it meets, the same subsets the walk over all of them tests.
+   built once per (m, cap, must) that leaves out the subsets of 11 too;
+   leaving the others out touches no mark of a walked orbit, and by 2
+   the walk tests the smallest member of every orbit it meets, the same
+   subsets the walk over all of them tests.
 7. _accept decides the rule of the first paragraph while finding only
    m's orbit O, by one _automorphism(m, w) query per tied vertex w
    that is not a twin of m (9).
@@ -76,9 +84,10 @@ no decision because:
    whole orbits.  Members of one orbit have isomorphic deletions, hence
    one deletion code per orbit: O's code is the least iff no tied vertex
    has a smaller one, and the vertices whose code equals m's are exactly
-   the orbits tied with O.  The canonical labeling places each vertex
-   at its own position, so the earliest of those vertices lies in O iff
-   O's earliest comes before every tied vertex outside O.
+   the orbits tied with O (15 compares the codes).  The canonical
+   labeling places each vertex at its own position, so the earliest of
+   those vertices lies in O iff O's earliest comes before every tied
+   vertex outside O.
    No graph with n <= 10 reaches that tie-break: in the walk to n = 10
    none of the 7,630 deletion codes of other orbits compared with m's
    equals it, so only a CANONICAL_MAX_VERTICES above 10 can reach it.
@@ -89,8 +98,12 @@ no decision because:
    and m has degree |S|, so the lists of m and of the ties of 5 come from
    P's degrees and S alone, before the child is built, and comparing them
    decides exactly _accept's first round.  The scan of 5 compares each
-   tie's list with m's where it meets the tie, building m's list at the
-   first one.  By 4, a tie whose list is smaller than m's keeps a smaller
+   tie's list with m's where it meets the tie, through their keys of 10
+   for order n = m+1, which are larger for smaller lists: m's is the
+   weight n^(n-1-d) of deg_P(u) + 1 summed over u in S, computed at the
+   first tie, and a tie's is the sum over its neighbours of the weight
+   of deg_P, taken once per parent, plus the change for those in S, plus
+   the weight of |S| when it is in S itself.  By 4, a tie whose list is smaller than m's keeps a smaller
    color in every later round, so the subset is rejected there, whatever
    the rest of the scan holds; one whose list is larger keeps a larger
    color, so it never sets the minimum while m does nor joins the
@@ -122,12 +135,12 @@ Three more shortcuts skip work whose outcome is already decided:
     low + 1 (6), and let W be the non-cut vertices of P of degree low.
     A subset S of cap elements that misses some w in W leaves w non-cut
     in P+S (P-w is connected and holds S), with degree low < |S|, so 5
-    rejects S.  _children skips such subsets before marking them.
+    rejects S.  The subset list of 6 leaves such subsets out.
     Automorphisms of P map W onto W and keep |S|, so the skipped subsets
     form whole orbits; as in 6, leaving them out touches no mark of a
     walked orbit, and by 2 the walk tests the same subsets.
-12. Automorphisms keep stable colors, so _aut_generators skips every v
-    whose color differs from i's without an _automorphism query.  When i
+12. Automorphisms keep stable colors, so _aut_generators walks only the
+    v of i's color class, without an _automorphism query for the others.  When i
     and v are twins (N(i) minus v equals N(v) minus i), the transposition
     (i v) is an automorphism; it moves only i and v, so with v > i it
     fixes 0..i-1 and is a t of 3, taken without a search.
@@ -138,6 +151,32 @@ Three more shortcuts skip work whose outcome is already decided:
     vertex, so the scan of 5 has already skipped w for its degree.
     _children therefore runs the component test only for cut vertices
     of P.
+
+Two more make the remaining queries cheaper without changing an answer:
+
+14. An automorphism keeps stable colors, so _automorphism tries for each
+    vertex only the members of its color class, in ascending order: the
+    candidates, in the order, that a scan of all vertices checking the
+    color would leave, so it finds the same automorphism.  Vertices
+    0..fixed-1 are fixed by definition, and each placed on itself passes
+    every check it would meet (its placed neighbours' images are those
+    neighbours), so the search starts with them placed.  The class lists
+    and the search order (by color, then index) depend only on the graph
+    and its stable colors, so _accept and _aut_generators build them once
+    per graph (_classes).
+15. G - m is the parent P itself, m being the last vertex, so m's
+    deletion code in 7 is P's, and _children finds P's least column list
+    once, at the first child that needs it.  Codes of one order compare
+    as least column lists (graph.py), and graph.compare_least compares
+    G - w with P by a descent on G - w cut at P's list.  The least list
+    of G - w lies on a descent path that takes a least column at every
+    position, since a larger column at the first position where two
+    lists differ makes the whole list larger, and twins give equal
+    subtrees.  The cut descent follows only the paths whose prefix equals
+    P's list: a least column below P's there means a smaller list (-1), a
+    full labelling reached means an equal one (0), and when every branch
+    goes above, every list of G - w is larger (1).  That is the sign of
+    the byte comparison of the two canonical codes, which 7 needs.
 """
 
 from __future__ import annotations
@@ -149,62 +188,83 @@ from .errors import SizeLimitExceeded
 from .graph import (
     CANONICAL_MAX_VERTICES,
     Graph,
-    canonical_code,
+    canonical_code,  # unused here; perfbench/spans.py wraps it by this name
     canonical_perm,
-    component_masks,
+    compare_least,
     iter_bits,
+    least_columns,
 )
 
 # _BITS[mask]: the set bit positions of mask, ascending (module docstring, 8)
 _BITS = tuple(tuple(iter_bits(x)) for x in range(1 << CANONICAL_MAX_VERTICES))
+# _DIGITS[n][c]: n^(n-1-c), the weight of color c in a key of order n (10)
+_DIGITS = [[n ** (n - 1 - c) for c in range(n)] for n in range(CANONICAL_MAX_VERTICES + 1)]
 
 
 def _wl_rounds(rows, n):
     """Refinement colors round by round, starting from degrees; each round
-    refines the last (module docstring, 4), and the last is stable and
-    identical across isomorphic graphs.  A round ranks one integer key
-    per vertex in place of its sorted signature (10)."""
-    nbrs = [_BITS[rows[v]] for v in range(n)]
-    colors = [len(nb) for nb in nbrs]
-    digit = [n ** (n - 1 - c) for c in range(n)]
+    refines the last (module docstring, 4), and the last, the first round
+    that the next one would not split, is stable and identical across
+    isomorphic graphs.  A round ranks one integer key per vertex in place
+    of its sorted signature (10)."""
+    nbrs = list(map(_BITS.__getitem__, rows))
+    colors = list(map(len, nbrs))
+    classes = len(set(colors))
+    digit = _DIGITS[n]
     top = n**n
     while True:
         yield colors
-        weight = [digit[c] for c in colors]
-        keys = [colors[v] * top - sum(map(weight.__getitem__, nbrs[v])) for v in range(n)]
-        rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [rank[k] for k in keys]
-        if new == colors:
+        weight = list(map(digit.__getitem__, colors)).__getitem__
+        keys = [c * top - sum(map(weight, nb)) for c, nb in zip(colors, nbrs)]
+        distinct = set(keys)
+        if len(distinct) == classes:
             return
-        colors = new
+        classes = len(distinct)
+        rank = dict(zip(sorted(distinct), range(classes)))
+        colors = list(map(rank.__getitem__, keys))
 
 
-def _automorphism(rows, n, colors, src, dst, fixed=0):
-    """An automorphism fixing 0..fixed-1 and taking src to dst, or None.
+def _classes(colors):
+    """The vertices of each color in ascending order, indexed by color,
+    and every vertex by (color, index): the candidates and the search
+    order of _automorphism (module docstring, 14)."""
+    cells = [[] for _ in colors]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    return cells, [v for cell in cells for v in cell]
 
-    Both src and dst must be >= fixed.  The search places the vertices of
-    order one by one; since the images placed so far are distinct, x may
+
+def _automorphism(rows, colors, cells, order, dst, fixed=0):
+    """An automorphism fixing 0..fixed-1 and taking order[0] to dst, or None.
+
+    order[0] and dst must be >= fixed; the rest of order is every other
+    vertex >= fixed by (color, index), and cells[c] the vertices of color
+    c, ascending (_classes).  The search starts with 0..fixed-1 placed on
+    themselves, places order[0] on dst, then the rest of order, each on a
+    member of its color class, tried in ascending order (module
+    docstring, 14).  Since the images placed so far are distinct, x may
     take w iff rows[x] & placed == img[w], the images of w's placed
     neighbours, which is the pairwise edge check against every placed
     vertex.
     """
+    src = order[0]
     if colors[src] != colors[dst]:
         return None
+    n = len(rows)
     if src == dst:
         return list(range(n))
-    rest = sorted((v for v in range(fixed, n) if v != src), key=lambda v: (colors[v], v))
-    order = [*range(fixed), src, *rest]
-    perm = [-1] * n
-    img = [0] * n  # img[w]: the images of w's placed neighbours
+    prefix = (1 << fixed) - 1
+    perm = [*range(fixed), *[-1] * (n - fixed)]
+    img = [r & prefix for r in rows]  # img[w]: the images of w's placed neighbours
 
-    def bt(i, placed):  # placed: the images of order[:i]
-        if i == n:
+    def bt(i, placed):  # placed: the images of the prefix and order[:i]
+        if i == len(order):
             return True
         w = order[i]
         want = img[w]
-        for x in [w] if w < fixed else [dst] if w == src else range(n):
+        for x in cells[colors[w]] if i else [dst]:
             bit = 1 << x
-            if placed & bit or colors[x] != colors[w] or rows[x] & placed != want:
+            if placed & bit or rows[x] & placed != want:
                 continue
             perm[w] = x
             nbrs = _BITS[rows[w]]
@@ -216,7 +276,7 @@ def _automorphism(rows, n, colors, src, dst, fixed=0):
                 img[u] ^= bit
         return False
 
-    return perm if bt(0, 0) else None
+    return perm if bt(0, prefix) else None
 
 
 def _aut_generators(rows, n):
@@ -224,17 +284,22 @@ def _aut_generators(rows, n):
     automorphism fixing 0..i-1 and taking i to each v > i outside the
     orbit of i under the automorphisms kept so far."""
     *_, colors = _wl_rounds(rows, n)
+    cells, ranked = _classes(colors)
     gens = []
     for i in range(n - 2, -1, -1):
+        cell = cells[colors[i]]  # the v of i's own class (12)
+        if cell[-1] == i:
+            continue
+        order = [i] + [v for v in ranked if v > i]
         orbit = {i}
-        for v in range(i + 1, n):
-            if v in orbit or colors[v] != colors[i]:
+        for v in cell:
+            if v <= i or v in orbit:
                 continue
             if rows[i] & ~(1 << v) == rows[v] & ~(1 << i):
                 g = list(range(n))  # twins: the transposition (i v) (12)
                 g[i], g[v] = v, i
             else:
-                g = _automorphism(rows, n, colors, i, v, i)
+                g = _automorphism(rows, colors, cells, order, v, i)
                 if g is None:
                     continue
             gens.append(g)
@@ -248,53 +313,82 @@ def _aut_generators(rows, n):
     return gens
 
 
-def _accept(child, n, w_set):
+def _accept(child, n, w_set, least):
     """Does the new vertex (index n-1) lie in the canonical deletion orbit?
 
-    w_set is the new vertex and the non-cut vertices of its degree
-    (module docstring, 5), less any whose first-round color exceeds the
-    new vertex's (8).
+    w_set is the new vertex, first, and the non-cut vertices of its
+    degree (module docstring, 5), less any whose first-round color
+    exceeds the new vertex's (8).  least is shared by the children of one
+    parent P = child - m: empty, or holding P's least column list, which
+    the deletion-code step puts there at its first use (7).
     """
     vnew = n - 1
-    # twins of m, m included, lie in its orbit (module docstring, 9)
-    twins = {w for w in w_set if child[vnew] & ~(1 << w) == child[w] & ~(1 << vnew)}
-    if len(twins) == len(w_set):
+    ties = w_set[1:]
+    # twins of m lie in its orbit (module docstring, 9)
+    twins = {w for w in ties if child[vnew] & ~(1 << w) == child[w] & ~(1 << vnew)}
+    if len(twins) == len(ties):
         return True
     for colors in _wl_rounds(child, n):
-        cmin = min(colors[w] for w in w_set)
-        if colors[vnew] != cmin:
+        cmin = min(map(colors.__getitem__, ties))
+        if colors[vnew] > cmin:
             return False
-    w1 = [w for w in w_set if w != vnew and colors[w] == cmin]
-    if not w1:
-        return True
+        if colors[vnew] < cmin:  # m alone has the least color in every later round (4)
+            return True
     # m's orbit and the other tied vertices (module docstring, 7)
+    w1 = [w for w in ties if colors[w] == cmin]
+    cells, ranked = _classes(colors)
+    order = [vnew] + [v for v in ranked if v != vnew]
     orbit = [vnew] + [
-        w for w in w1 if w in twins or _automorphism(child, n, colors, vnew, w) is not None
+        w for w in w1 if w in twins or _automorphism(child, colors, cells, order, w) is not None
     ]
     others = [w for w in w1 if w not in orbit]
     if not others:
         return True
-    g = Graph(child)
-    mine = canonical_code(g.delete_vertex(vnew))
+    if not least:
+        least.append(least_columns(tuple(r & ~(1 << vnew) for r in child[:vnew])))
     tied = []  # pseudo-similar to m: same deletion code, other orbit
     for w in others:
-        code = canonical_code(g.delete_vertex(w))
-        if code < mine:
+        low = (1 << w) - 1
+        deleted = [(r & low) | (r >> (w + 1) << w) for v, r in enumerate(child) if v != w]
+        sign = compare_least(deleted, least[0])
+        if sign < 0:
             return False
-        if code == mine:
+        if sign == 0:
             tied.append(w)
     if not tied:
         return True
     # break the tie by canonical position
-    perm = canonical_perm(g)
+    perm = canonical_perm(Graph(child))
     return min(perm[w] for w in orbit) < min(perm[w] for w in tied)
 
 
 @cache
-def _subsets(m, cap):
-    """The nonempty subsets of range(m) with at most cap elements, as
-    masks in ascending order (module docstring, 6)."""
-    return tuple(s for s in range(1, 1 << m) if s.bit_count() <= cap)
+def _subsets(m, cap, must):
+    """The nonempty subsets of range(m) with fewer than cap elements or
+    with cap elements including must, as masks in ascending order (module
+    docstring, 6 and 11)."""
+    return tuple(
+        s
+        for s in range(1, 1 << m)
+        if (size := s.bit_count()) < cap or size == cap and s & must == must
+    )
+
+
+def _components(rows, within):
+    """The vertex masks of the components of the subgraph induced on
+    within, by smallest member, from a breadth-first search over _BITS."""
+    comps = []
+    while within:
+        comp = frontier = within & -within
+        while frontier:
+            reach = 0
+            for v in _BITS[frontier]:
+                reach |= rows[v]
+            frontier = reach & within & ~comp
+            comp |= frontier
+        comps.append(comp)
+        within ^= comp
+    return comps
 
 
 def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -305,7 +399,7 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     # splits[w]: the components of P-w for a cut vertex w, () for a
     # non-cut one, which the component test of 5 never rejects once its
     # degree is at most |S| (module docstring, 13)
-    splits = [component_masks(parent, (bit_new - 1) ^ (1 << w)) for w in range(m)]
+    splits = [_components(parent, (bit_new - 1) ^ (1 << w)) for w in range(m)]
     splits = [comps if len(comps) > 1 else () for comps in splits]
     pdeg = [len(nb) for nb in nbrs]
     low = min(pdeg[w] for w in range(m) if not splits[w])
@@ -316,12 +410,18 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     # by_degree[d]: P's vertices of degree <= d, by ascending degree
     order = sorted(range(m), key=pdeg.__getitem__)
     by_degree = [[w for w in order if pdeg[w] <= d] for d in range(cap + 1)]
+    # the weights of P's degrees in P+S for u outside S and in S, and each
+    # vertex's key with no neighbour in S (module docstring, 8)
+    digit = _DIGITS[n]
+    out_weight = list(map(digit.__getitem__, pdeg))
+    in_weight = [digit[d + 1] for d in pdeg]
+    gain = [a - b for a, b in zip(in_weight, out_weight)]
+    base = [sum(map(out_weight.__getitem__, nb)) for nb in nbrs]
     gens = [[1 << v for v in g] for g in _aut_generators(parent, m)]  # g[u]: bit of u's image
     marked = bytearray(1 << m)
-    for subset in _subsets(m, cap):
+    least = []  # P's least column list, once a child needs it (7)
+    for subset in _subsets(m, cap, must):
         deg_new = subset.bit_count()
-        if deg_new == cap and subset & must != must:
-            continue
         if gens:  # with Aut(P) trivial every orbit is one subset (module docstring, 2)
             if marked[subset]:
                 continue
@@ -349,14 +449,13 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             if d < deg_new:
                 break
             if mine is None:
-                mine = sorted(pdeg[u] + 1 for u in _BITS[subset])
-            sig = [pdeg[u] + ((subset >> u) & 1) for u in nbrs[w]]
+                mine = sum(map(in_weight.__getitem__, _BITS[subset]))
+            key = base[w] + sum(map(gain.__getitem__, _BITS[parent[w] & subset]))
             if (subset >> w) & 1:
-                sig.append(deg_new)
-            sig.sort()
-            if sig < mine:
+                key += digit[deg_new]
+            if key > mine:  # a smaller signature
                 break
-            if sig == mine:
+            if key == mine:
                 ties.append(w)
         else:
             child = list(parent)
@@ -365,7 +464,7 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             child.append(subset)
             child = tuple(child)
             # strictly smallest color after the first round (module docstring, 8)
-            if len(ties) == 1 or _accept(child, n, ties):
+            if len(ties) == 1 or _accept(child, n, ties, least):
                 yield child
 
 

@@ -17,6 +17,7 @@ string over all relabelings, found by a pruned permutation descent.
 from __future__ import annotations
 
 from itertools import repeat
+from operator import add
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -395,80 +396,112 @@ def g6_decode(data: bytes | str) -> Graph:
 
 
 # -- canonical code --------------------------------------------------------
+#
+# Under a labelling, graph6 lists each position's column: its adjacency to
+# the positions before it, the first position first.  Read as ints, the
+# column lists of two graphs of one order compare as their graph6 codes do.
 
 
-def canonical_perm(g: Graph) -> tuple[int, ...]:
-    """A relabeling old->position realizing the canonical (minimum) g6 code.
+def _descent(rows: tuple[int, ...], bound: list[int] | None = None):
+    """The pruned permutation descent behind the canonical code.
 
     Positions are filled left to right; at each position only the vertices
-    whose adjacency column against the placed prefix is lexicographically
-    minimal can continue (an earlier larger column dominates everything
-    after it), interchangeable twins are explored once, and subtrees that
-    fall behind the incumbent are cut.
+    whose column against the placed prefix is least can continue (an
+    earlier larger column dominates everything after it), interchangeable
+    twins are explored once, and subtrees that fall behind the incumbent
+    are cut.  Each free vertex's column grows by one bit per placement.
+
+    Without bound it returns the least column list and the first
+    labelling reaching it, as the vertices in position order.  Given
+    bound, the column list of a graph of the same order, it returns the
+    sign of the least column list minus bound: -1 as soon as a least
+    column falls below bound's, 0 on reaching a full labelling equal to
+    bound, 1 once every branch has gone above it.
     """
-    n = g.n
+    n = len(rows)
     if n > CANONICAL_MAX_VERTICES:
         raise SizeLimitExceeded(
             f"canonical code supports up to {CANONICAL_MAX_VERTICES} vertices, got {n}"
         )
-    if n <= 1:
-        return tuple(range(n))
-    rows = g.rows
-    best_cols: list[int] | None = None
+    best = bound
     best_perm: list[int] | None = None
     placed: list[int] = []
     cols: list[int] = []
+    adj = [[r >> v & 1 for r in rows] for v in range(n)]  # adj[v][u]: u ~ v
 
-    def descend(free: int) -> None:
-        nonlocal best_cols, best_perm
+    def descend(free: list[int], mask: int, col: list[int]) -> int | None:
+        # free: the unplaced vertices, ascending, and mask their bits;
+        # col[v]: v's column against the placed prefix.  Returns the sign
+        # once a bounded descent is decided, else None.
+        nonlocal best, best_perm
         k = len(placed)
         if k == n:
-            if best_cols is None or cols < best_cols:
-                best_cols = cols.copy()
+            if bound is not None:
+                return 0
+            if best is None or cols < best:
+                best = cols.copy()
                 best_perm = placed.copy()
-            return
-        mincol = None
-        cands: list[int] = []
-        m = free
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            rv = rows[v]
-            col = 0
-            for p in placed:
-                col = (col << 1) | ((rv >> p) & 1)
-            if mincol is None or col < mincol:
-                mincol = col
-                cands = [v]
-            elif col == mincol:
-                cands.append(v)
+            return None
+        mincol = min(map(col.__getitem__, free))
         # the path prefix is never lexicographically above the incumbent
         # (improvements while inside this node come from its own subtree,
-        # which shares the prefix), so only the tight case needs a cut
-        if best_cols is not None and cols == best_cols[:k] and mincol > best_cols[k]:
-            return
+        # which shares the prefix), so only the tight case needs a cut; a
+        # bounded descent stops below bound, so its every node is tight
+        if bound is not None or best is not None and cols == best[:k]:
+            if mincol > best[k]:
+                return None
+            if mincol < best[k] and bound is not None:
+                return -1
         seen_open: set[int] = set()
         seen_closed: set[int] = set()
         cols.append(mincol)
-        for v in cands:
-            om = rows[v] & free
+        for i, v in enumerate(free):
+            if col[v] != mincol:
+                continue
+            om = rows[v] & mask
             cm = om | (1 << v)
             if om in seen_open or cm in seen_closed:
                 continue
             seen_open.add(om)
             seen_closed.add(cm)
             placed.append(v)
-            descend(free ^ (1 << v))
+            # every column gains v's bit: 2 col + adj[v]
+            grown = list(map(add, col, map(add, col, adj[v])))
+            sign = descend(free[:i] + free[i + 1 :], mask ^ (1 << v), grown)
+            if sign is not None:
+                return sign
             placed.pop()
         cols.pop()
+        return None
 
-    descend((1 << n) - 1)
-    assert best_perm is not None
-    out = [0] * n
-    for pos, v in enumerate(best_perm):
+    sign = descend(list(range(n)), (1 << n) - 1, [0] * n)
+    if bound is not None:
+        return 1 if sign is None else sign
+    return best, best_perm
+
+
+def least_columns(rows: tuple[int, ...]) -> list[int]:
+    """The column list of the canonical labelling, the least over all
+    relabelings (n <= 10)."""
+    return _descent(rows)[0]
+
+
+def compare_least(rows: tuple[int, ...], bound: list[int]) -> int:
+    """The sign of least_columns(rows) minus bound, the least column list
+    of a graph of the same order, compared as lists, that is of their
+    canonical codes compared as bytes; the descent stops at the first
+    least column below bound's and follows no branch above it."""
+    return _descent(rows, bound)
+
+
+def canonical_perm(g: Graph) -> tuple[int, ...]:
+    """A relabeling old->position realizing the canonical (minimum) g6 code."""
+    _, order = _descent(g.rows)
+    out = [0] * g.n
+    for pos, v in enumerate(order):
         out[v] = pos
     return tuple(out)
+
 
 def canonical_code(g: Graph) -> bytes:
     """Minimum g6 code over all relabelings; equal iff isomorphic (n <= 10)."""

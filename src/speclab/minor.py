@@ -363,17 +363,22 @@ def _arm_seed_filter(size):
     return admit
 
 
-@lru_cache(maxsize=16)
-def _hub_search(spec: FamilySpec, arm_size: int):
-    # built once per spec, since a search asks for them on every graph; the
-    # constructed labels put the hub first and each arm contiguously, the
-    # positions the seed filter assumes
+@lru_cache(maxsize=16, typed=True)
+def _hub_search(kind: str, param: int):
+    # built once per (kind, param), spec included, since a search asks for
+    # them on every graph; typed, so a param of another type still meets
+    # FamilySpec's check.  The constructed labels put the hub first and
+    # each arm contiguously, the positions the seed filter assumes
+    if kind == "friendship":
+        spec, arm_size = FamilySpec(kind, s=param), 2
+    else:
+        spec, arm_size = FamilySpec(kind, t=param), 3
     pattern, _ = construct(spec)
     return pattern, _arm_seed_filter(arm_size)
 
 
-def _hub_minor(host, spec, node_budget, arm_size) -> MinorAnswer:
-    pattern, seed_filter = _hub_search(spec, arm_size)
+def _hub_minor(host, kind, param, node_budget) -> MinorAnswer:
+    pattern, seed_filter = _hub_search(kind, param)
     return _run_search(host, pattern, node_budget, tuple(range(pattern.n)), seed_filter)
 
 
@@ -381,14 +386,14 @@ def has_fs_minor(host: Graph, s: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
     """Search for a minor made of s triangles sharing one hub vertex."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    return _hub_minor(host, FamilySpec("friendship", s=s), node_budget, 2)
+    return _hub_minor(host, "friendship", s, node_budget)
 
 
 def has_qt_minor(host: Graph, t: int, node_budget: int = DEFAULT_NODE_BUDGET) -> MinorAnswer:
     """Search for a minor made of t quadrilaterals sharing one hub vertex."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    return _hub_minor(host, FamilySpec("intersecting-c4", t=t), node_budget, 3)
+    return _hub_minor(host, "intersecting-c4", t, node_budget)
 
 
 @dataclass(frozen=True)

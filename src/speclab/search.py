@@ -267,10 +267,14 @@ def _shares(parents, size, taken):
 
 def _child_scan(send, parents, size, taken, holds):
     """A forked worker: _scan over the shares it takes, and its result, or
-    the exception that stopped it, sent back through send."""
+    the exception that stopped it, sent back through send.  A failing
+    worker first moves taken past the last parent, so every process stops
+    at its next share: the search fails whatever the others find."""
     try:
         result = _scan(_shares(parents, size, taken), holds)
     except Exception as exc:  # re-raised by the search process
+        with taken.get_lock():
+            taken.value = len(parents)
         result = exc
     send.send(result)
 

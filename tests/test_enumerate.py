@@ -9,6 +9,7 @@ from speclab import enumerate as enumeration, search
 from speclab.enumerate import (
     _BITS,
     _accept,
+    _classes,
     _aut_generators,
     _automorphism,
     _children,
@@ -289,12 +290,14 @@ class TestOrbitDedup:
             for g in labeled_connected_classes(n).values():
                 aut = brute_force_aut(g)
                 *_, colors = _wl_rounds(g.rows, n)
+                cells, ranked = _classes(colors)
                 for fixed in range(n):
                     stab = [p for p in aut if all(p[v] == v for v in range(fixed))]
                     reach = {(src, p[src]) for p in stab for src in range(fixed, n)}
                     for src in range(fixed, n):
                         for dst in range(fixed, n):
-                            perm = _automorphism(g.rows, n, colors, src, dst, fixed)
+                            order = [src] + [v for v in ranked if v >= fixed and v != src]
+                            perm = _automorphism(g.rows, colors, cells, order, dst, fixed)
                             assert (perm is not None) == ((src, dst) in reach), (g.rows, fixed, src, dst)
                             if perm is not None:
                                 assert tuple(perm) in stab and perm[src] == dst
@@ -305,7 +308,8 @@ class TestOrbitDedup:
 
 
 def reference_wl(rows, n):
-    """Every refinement round, each ranking (color, sorted neighbour colors)."""
+    """Every refinement round, each ranking (color, sorted neighbour
+    colors), up to the first round that the next one splits no class of."""
     colors = [rows[v].bit_count() for v in range(n)]
     rounds = [colors]
     while True:
@@ -315,10 +319,16 @@ def reference_wl(rows, n):
         ]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [rank[s] for s in sigs]
-        if new == colors:
+        if len(rank) == len(set(colors)):
             return rounds
         colors = new
         rounds.append(colors)
+
+
+def automorphic(rows, colors, src, dst):
+    cells, ranked = _classes(colors)
+    order = [src] + [v for v in ranked if v != src]
+    return _automorphism(rows, colors, cells, order, dst) is not None
 
 
 def reference_accept(child, n, w_set):
@@ -341,7 +351,7 @@ def reference_accept(child, n, w_set):
     for i in range(len(w1)):
         for j in range(i + 1, len(w1)):
             a, b = find(w1[i]), find(w1[j])
-            if a != b and _automorphism(child, n, colors, w1[i], w1[j]) is not None:
+            if a != b and automorphic(child, colors, w1[i], w1[j]):
                 root[b] = a
     orbits = {}
     for w in w1:
@@ -424,7 +434,7 @@ class TestEarlyRejection:
                     w_set = [n - 1] + [
                         perm[v] for v in noncut if v != x and g.degree(v) == g.degree(x)
                     ]
-                    assert _accept(child, n, w_set) == reference_accept(child, n, w_set), (g.rows, x)
+                    assert _accept(child, n, w_set, []) == reference_accept(child, n, w_set), (g.rows, x)
 
 
 def random_rows(rng, n, p):
@@ -467,7 +477,7 @@ class TestCheaperAcceptance:
             raise AssertionError("refined an all-twin input")
 
         monkeypatch.setattr("speclab.enumerate._wl_rounds", refuse)
-        assert _accept(child, len(child), w_set)
+        assert _accept(child, len(child), w_set, [])
 
     def test_complete_graph_keeps_one_generator_per_level(self):
         for n in range(2, 11):

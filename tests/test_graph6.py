@@ -6,11 +6,13 @@ values come from chunking that string by six.  Known byte values for tiny
 graphs are frozen alongside it.
 """
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from speclab.enumerate import enumerate_connected
 from speclab.errors import MalformedGraph6, SizeLimitExceeded
 from speclab.families import FamilySpec, construct
 from speclab.graph import (
@@ -18,8 +20,10 @@ from speclab.graph import (
     Graph,
     canonical_code,
     canonical_perm,
+    compare_least,
     g6_decode,
     g6_encode,
+    least_columns,
 )
 
 
@@ -207,8 +211,60 @@ class TestCanonical:
             canonical_code(Graph.empty(11))
         canonical_code(Graph.empty(10))  # boundary fine
 
+    def test_perms_pinned_on_every_class_up_to_7(self):
+        # the labellings canonical_perm gave before its descent took a bound
+        digest = hashlib.sha256()
+        for n in range(1, 8):
+            for g in enumerate_connected(n):
+                digest.update(repr(canonical_perm(g)).encode())
+        assert digest.hexdigest() == "5827b22f562c92c1daec0524657576fd1de74112b5a38fc816877e5fede9159d"
+
+    def test_least_columns_are_the_code_columns(self):
+        rng = random.Random(606)
+        for n in range(0, 11):
+            g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+            h = g.relabel(canonical_perm(g))
+            # column k, position 0 first: the low k bits of row k, reversed
+            cols = [int(format(h.rows[k] & ((1 << k) - 1), f"0{k}b")[::-1], 2) for k in range(n)]
+            assert least_columns(g.rows) == cols
+
+
     def test_code_decodes_to_isomorphic_graph(self):
         g = cycle(5).with_edge(0, 2)
         h = g6_decode(canonical_code(g))
         assert h.degree_sequence() == g.degree_sequence()
         assert h.edge_count == g.edge_count
+
+
+class TestBoundedComparison:
+    """compare_least(rows, bound) against the byte order of canonical codes."""
+
+    @staticmethod
+    def sign(a, b):
+        return (a > b) - (a < b)
+
+    def test_every_ordered_pair_of_classes_up_to_6(self):
+        for n in range(1, 7):
+            classes = list(enumerate_connected(n))
+            codes = [canonical_code(g) for g in classes]
+            bounds = [least_columns(g.rows) for g in classes]
+            for g, code in zip(classes, codes):
+                for other, bound in zip(codes, bounds):
+                    assert compare_least(g.rows, bound) == self.sign(code, other)
+
+    def test_random_pairs_up_to_10(self):
+        rng = random.Random(20261020)
+        signs = []
+        for i in range(2000):
+            n = rng.randint(1, 10)
+            g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+            if i % 4:
+                h = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+            else:  # an isomorphic pair, for the equal case
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h = g.relabel(perm)
+            want = self.sign(canonical_code(g), canonical_code(h))
+            assert compare_least(g.rows, least_columns(h.rows)) == want, (g.rows, h.rows)
+            signs.append(want)
+        assert all(signs.count(s) >= 300 for s in (-1, 0, 1))

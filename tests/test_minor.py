@@ -11,6 +11,7 @@ from speclab.errors import (
     PatternTooLarge,
     PreconditionFailed,
 )
+from speclab.enumerate import enumerate_connected
 from speclab.families import FamilySpec, construct
 from speclab.graph import Graph
 from speclab.minor import (
@@ -424,6 +425,67 @@ class TestCycleOracles:
             g = random_graph(rng.randint(5, 7), rng.choice([0.2, 0.35, 0.5]), rng)
             assert (has_fs_minor(g, 1).status == FOUND) == has_cycle(g)
             assert (has_qt_minor(g, 1).status == FOUND) == (longest_cycle(g) >= 4)
+
+
+def block_sizes(g):
+    """The vertex counts of the blocks of a connected graph, by a
+    Hopcroft-Tarjan depth-first search; no shared code with the engine."""
+    depth = [-1] * g.n
+    low = [0] * g.n
+    edges = []  # tree and back edges of the blocks not yet closed
+    sizes = []
+
+    def visit(u, parent):
+        for v in g.neighbors(u):
+            if depth[v] < 0:
+                edges.append((u, v))
+                depth[v] = low[v] = depth[u] + 1
+                visit(v, u)
+                low[u] = min(low[u], low[v])
+                if low[v] >= depth[u]:  # u cuts v's subtree off: one block
+                    block, edge = set(), None
+                    while edge != (u, v):
+                        edge = edges.pop()
+                        block.update(edge)
+                    sizes.append(len(block))
+            elif v != parent and depth[v] < depth[u]:
+                edges.append((u, v))
+                low[u] = min(low[u], depth[v])
+
+    depth[0] = 0
+    visit(0, -1)
+    return sizes
+
+
+def check_absence_oracles(n):
+    """On every connected class of order n: no K_3 minor iff a forest (a
+    connected graph with n - 1 edges), no C_4 minor iff every block has at
+    most 3 vertices (C_4 is 2-connected, so it is a minor of a block, and
+    a 2-connected block on 4 or more vertices has a cycle that long)."""
+    for g in enumerate_connected(n):
+        assert has_fs_minor(g, 1).status == (NOT_FOUND if g.edge_count == n - 1 else FOUND)
+        large_block = any(size > 3 for size in block_sizes(g))
+        assert has_qt_minor(g, 1).status == (FOUND if large_block else NOT_FOUND)
+
+
+class TestAbsenceOracles:
+    def test_block_sizes(self):
+        assert block_sizes(Graph.empty(1)) == []
+        assert sorted(block_sizes(friendship(2))) == [3, 3]
+        assert sorted(block_sizes(path_graph(4))) == [2, 2, 2]
+        assert block_sizes(cycle(5)) == [5]
+        # a C_4 and a triangle joined by a path of two edges
+        g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (6, 7), (7, 5)])
+        assert sorted(block_sizes(g)) == [2, 2, 3, 4]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_class_up_to_7(self, n):
+        check_absence_oracles(n)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_every_class_at_8_and_9(self, n):
+        check_absence_oracles(n)
 
 
 class TestMonotonicity:

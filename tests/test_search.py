@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import re
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -409,18 +410,39 @@ class TestWorkers:
 
     def test_exception_in_a_worker_reaches_the_caller_with_its_type(self, monkeypatch):
         failed = multiprocessing.Event()  # made before the fork, shared
+        tested = []  # the parents of the level-7 graphs the search process tests
 
         def fail():
             failed.set()
             raise VerificationFailed("planted")
 
-        # the search process waits at its first graph of level 7 until the
-        # worker has failed, so the worker takes shares meanwhile
-        wait = functools.partial(failed.wait, timeout=60)
-        monkeypatch.setattr(search, "_test_graph", at_level(7, wait, fail))
+        search_pid = os.getpid()
+        real = search._test_graph
+
+        def planted(g, *args):
+            if g.n == 7 and os.getpid() != search_pid:
+                fail()
+            elif g.n == 7:
+                # the search process waits at its first graph of level 7
+                # until the worker has failed and exited, so the worker
+                # takes shares meanwhile and has stopped the hand-out
+                if not tested:
+                    failed.wait(timeout=60)
+                    deadline = time.monotonic() + 60
+                    while multiprocessing.active_children() and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                tested.append(tuple(r & 0b111111 for r in g.rows[:6]))
+            return real(g, *args)
+
+        monkeypatch.setattr(search, "_test_graph", planted)
         with pytest.raises(VerificationFailed, match="planted"):
             extremal_search(7, "fs-subgraph-free:s=1", workers=2)
         assert multiprocessing.active_children() == []
+        # the search process ends the share it holds and takes no other
+        parents = list(enumeration.connected_rows(6))
+        size = -(-len(parents) // (search.SHARES_PER_WORKER * 2))
+        share = {rows: i // size for i, rows in enumerate(parents)}
+        assert tested and len({share[rows] for rows in tested}) == 1
 
     def test_exception_in_the_search_process_stops_the_workers(self, monkeypatch):
         never, woke = multiprocessing.Event(), multiprocessing.Event()
