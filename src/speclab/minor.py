@@ -61,6 +61,28 @@ reads only the seeds, which growing a set never changes, so the branch
 that seeds every position with the least vertex of its M' set is
 searched, and the completeness argument, which allows any seed
 B_i subseteq M_i, applies to it unchanged.
+
+Anchored closure: clique_closure_check searches G + K_A only after the
+base host G is certified free of the pattern, so every model M in
+G + K_A uses an added edge, inside a branch set or between two, and
+holds both of its ends.  The closed host is relabelled with the k ends
+of added edges first (labels 0..k-1), so M holds two vertices below k,
+and the least vertex of M is below k - 1.  That vertex is the least of
+its branch set, so in the model M' that the hub-and-arms cut searches
+it is the least seed.  Each seed exceeds its rival's, and rivals sit
+at earlier positions, so following rivals from any position ends at a
+rival-free position, which is no later than the last rival-free
+position p (the first arm's first end for F_s, the last arm's middle
+for Q_t), with a smaller seed.  So the least seed of M' sits at a
+rival-free position <= p, and when every seed before p is at least
+k - 1, the seed at p is below k - 1.  The anchored search admits at p
+only such seeds in that case; the filter still reads only seeds, so
+the branch of M' is searched as before.  The restriction only removes
+seed branches, so an anchored absence proof visits part of the plain
+search's tree on the same relabelled host.  A found model is mapped
+back to the original labels and verified there.  With a new vertex
+relabelled to 0 and bound 1 the same rule anchors a pruned walk, whose
+parents are all free.
 """
 
 from __future__ import annotations
@@ -343,11 +365,10 @@ def find_minor_model(
     return _run_search(host, pattern, node_budget)
 
 
-def _arm_seed_filter(size):
-    """The seed filter for a hub at position 0 followed by arms of `size`
-    positions, each arm's two ends first and last (module docstring,
-    hub-and-arms cut)."""
-    # rival[k]: the position whose seed the seed at position k must exceed
+def _arm_rivals(size):
+    """rival[k]: the position whose seed the seed at position k must
+    exceed, or -1, for a hub at position 0 followed by arms of `size`
+    positions, each arm's two ends first and last."""
     rival = [-1] * MAX_PATTERN_VERTICES
     for k in range(2, MAX_PATTERN_VERTICES):
         r = (k - 1) % size
@@ -355,12 +376,31 @@ def _arm_seed_filter(size):
             rival[k] = k - size  # an arm's first end: the previous arm's
         elif r == size - 1:
             rival[k] = k - size + 1  # an arm's last end: its first end
+    return rival
+
+
+def _arm_seed_filter(size):
+    """The seed filter of the hub-and-arms cut (module docstring)."""
+    rival = _arm_rivals(size)
 
     def admit(k, v, seeds):
         j = rival[k]
         return j < 0 or v > seeds[j]
 
     return admit
+
+
+def _anchored_filter(admit, anchor, bound):
+    """admit, narrowed to models whose least vertex is below bound: at
+    position anchor, while no earlier seed is below bound, only seeds
+    below bound pass (module docstring, anchored closure)."""
+
+    def anchored(k, v, seeds):
+        if k == anchor and v >= bound and min(seeds) >= bound:
+            return False
+        return admit(k, v, seeds)
+
+    return anchored
 
 
 @lru_cache(maxsize=16, typed=True)
@@ -374,26 +414,43 @@ def _hub_search(kind: str, param: int):
     else:
         spec, arm_size = FamilySpec(kind, t=param), 3
     pattern, _ = construct(spec)
-    return pattern, _arm_seed_filter(arm_size)
+    # the last position whose seed no rival bounds from below; a pattern
+    # over the size limit is refused later, by _run_search
+    anchor = max(k for k, j in enumerate(_arm_rivals(arm_size)[: pattern.n]) if j < 0)
+    return pattern, _arm_seed_filter(arm_size), anchor
 
 
-def _hub_minor(host, kind, param, node_budget) -> MinorAnswer:
-    pattern, seed_filter = _hub_search(kind, param)
+def _hub_minor(host, kind, param, node_budget, least_below) -> MinorAnswer:
+    pattern, seed_filter, anchor = _hub_search(kind, param)
+    if least_below is not None:
+        seed_filter = _anchored_filter(seed_filter, anchor, least_below)
     return _run_search(host, pattern, node_budget, tuple(range(pattern.n)), seed_filter)
 
 
-def has_fs_minor(host: Graph, s: int, node_budget: int = DEFAULT_NODE_BUDGET) -> MinorAnswer:
-    """Search for a minor made of s triangles sharing one hub vertex."""
+def has_fs_minor(
+    host: Graph, s: int, node_budget: int = DEFAULT_NODE_BUDGET, *, least_below: int | None = None
+) -> MinorAnswer:
+    """Search for a minor made of s triangles sharing one hub vertex.
+
+    With least_below, only models holding a vertex below that label are
+    looked for, so not_found says only that no such model exists; the
+    clique closure uses this (module docstring, anchored closure).
+    """
     if s < 1:
         raise ValueError("s must be >= 1")
-    return _hub_minor(host, "friendship", s, node_budget)
+    return _hub_minor(host, "friendship", s, node_budget, least_below)
 
 
-def has_qt_minor(host: Graph, t: int, node_budget: int = DEFAULT_NODE_BUDGET) -> MinorAnswer:
-    """Search for a minor made of t quadrilaterals sharing one hub vertex."""
+def has_qt_minor(
+    host: Graph, t: int, node_budget: int = DEFAULT_NODE_BUDGET, *, least_below: int | None = None
+) -> MinorAnswer:
+    """Search for a minor made of t quadrilaterals sharing one hub vertex.
+
+    least_below narrows the search as in has_fs_minor.
+    """
     if t < 1:
         raise ValueError("t must be >= 1")
-    return _hub_minor(host, "intersecting-c4", t, node_budget)
+    return _hub_minor(host, "intersecting-c4", t, node_budget, least_below)
 
 
 @dataclass(frozen=True)
@@ -571,6 +628,23 @@ def check_structure_qt(g: Graph, A, B) -> StructureReport:
     return _structure(g, A, B, "qt", 3)
 
 
+def _ends_first(g: Graph, members) -> tuple[Graph, list[int], int]:
+    """G + K_A relabelled with the k ends of added edges first, each part
+    in ascending order; returns (host, old label of each new label, k)."""
+    amask = 0
+    for v in members:
+        amask |= 1 << v
+    ends = 0
+    for v in iter_bits(amask):
+        if amask & ~g.rows[v] & ~(1 << v):
+            ends |= 1 << v
+    old_label = list(iter_bits(ends)) + list(iter_bits(((1 << g.n) - 1) & ~ends))
+    perm = [0] * g.n
+    for new, old in enumerate(old_label):
+        perm[old] = new
+    return g.with_clique(members).relabel(perm), old_label, ends.bit_count()
+
+
 @dataclass(frozen=True)
 class ClosureReport(Record):
     mode: str
@@ -589,7 +663,11 @@ def clique_closure_check(
     or its subclass BudgetExhausted when the budget runs out before that
     is settled).  Reports the
     pre- and post-closure answers; ok means the closed graph is still
-    clean.
+    clean.  A closure that adds no edge leaves the host as it is, so its
+    closed answer is the base certificate's not_found at no further
+    node.  Otherwise the closed search looks only for models that use an
+    added edge (module docstring, anchored closure), and a found model
+    carries the original labels.
     """
     if mode not in ("fs", "qt"):
         raise ValueError("mode must be 'fs' or 'qt'")
@@ -602,7 +680,17 @@ def clique_closure_check(
         raise PreconditionFailed("host already contains the forbidden minor")
     if base.status == EXHAUSTED:
         raise BudgetExhausted("budget too small to certify the host is minor-free")
-    closed = run(g.with_clique(members), param, node_budget)
+    host, old_label, k = _ends_first(g, members)
+    if k == 0:
+        closed = MinorAnswer(NOT_FOUND, None, 0)
+    else:
+        closed = run(host, param, node_budget, least_below=k - 1)
+    if closed.model is not None:
+        sets = tuple(frozenset(old_label[v] for v in s) for s in closed.model.branch_sets)
+        model = MinorModel(g.n, closed.model.pattern, sets)
+        if not verify_model(g.with_clique(members), model):
+            raise VerificationFailed("closure model does not verify in the original labels")
+        closed = MinorAnswer(FOUND, model, closed.nodes_used)
     return ClosureReport(
         mode=mode,
         param=param,

@@ -21,6 +21,7 @@ from speclab.minor import (
     MinorModel,
     _Engine,
     _arm_seed_filter,
+    _ends_first,
     check_structure_fs,
     check_structure_qt,
     clique_closure_check,
@@ -630,6 +631,24 @@ class TestCliqueClosure:
         rep = clique_closure_check(g, {0}, "qt", 1)
         assert rep.ok and g.with_clique({0}) == g
 
+    def test_closure_adding_no_edge_repeats_no_proof(self):
+        # 0 and 2 are already adjacent, so the closed host is the base host
+        g = complete_bipartite(2, 5)
+        rep = clique_closure_check(g, {0, 2}, "fs", 2)
+        assert rep.base.status == NOT_FOUND and rep.base.nodes_used > 0
+        assert (rep.closed.status, rep.closed.model, rep.closed.nodes_used) == (NOT_FOUND, None, 0)
+        assert rep.ok
+
+    @pytest.mark.parametrize("g,A,mode,param", [
+        (complete_bipartite(1, 4), {3, 4}, "fs", 1),  # a triangle on the hub
+        (path_graph(5), {0, 3}, "qt", 1),  # a C_4 on 0-1-2-3
+    ])
+    def test_found_model_in_original_labels(self, g, A, mode, param):
+        rep = clique_closure_check(g, A, mode, param)
+        assert rep.base.status == NOT_FOUND and not rep.ok
+        assert rep.closed.status == FOUND
+        assert verify_model(g.with_clique(A), rep.closed.model)
+
     def test_precondition(self):
         with pytest.raises(PreconditionFailed):
             clique_closure_check(complete(5), {0, 1}, "fs", 2)
@@ -640,6 +659,68 @@ class TestCliqueClosure:
             clique_closure_check(complete_bipartite(2, 10), {0, 99}, "fs", 2, node_budget=2)
         with pytest.raises(ValueError):
             clique_closure_check(complete(3), {0}, "zz", 1)
+
+
+HUB_SEARCH = {"fs": has_fs_minor, "qt": has_qt_minor}
+
+
+def closure_cases(rng, count, max_n, kinds, max_a):
+    """(host, mode, param, A) for random hosts free of the pattern; half
+    the time A is drawn from the highest labels, where relabelling moves
+    the ends of added edges furthest."""
+    cases = []
+    while len(cases) < count:
+        n = rng.randint(5, max_n)
+        mode, param = rng.choice(kinds)
+        g = random_graph(n, rng.choice((0.15, 0.25, 0.35)), rng)
+        if HUB_SEARCH[mode](g, param).status != NOT_FOUND:
+            continue
+        size = rng.randint(1, min(max_a, n))
+        low = n - size - rng.randint(0, 2) if rng.random() < 0.5 else 0
+        cases.append((g, mode, param, rng.sample(range(max(low, 0), n), size)))
+    return cases
+
+
+def check_anchored_closures(cases):
+    """The anchored closed answer against the plain search of G + K_A;
+    returns how many closures created the pattern."""
+    found = 0
+    for g, mode, param, A in cases:
+        run = HUB_SEARCH[mode]
+        closed = g.with_clique(A)
+        got = clique_closure_check(g, A, mode, param).closed
+        want = run(closed, param)
+        assert got.status == want.status, (mode, param, g.rows, A)
+        if got.status == FOUND:
+            assert verify_model(closed, got.model), (mode, param, g.rows, A)
+            found += 1
+        else:
+            # the anchored tree is part of the plain tree on the same host
+            host, _, _ = _ends_first(g, A)
+            assert got.nodes_used <= run(host, param).nodes_used, (mode, param, g.rows, A)
+    return found
+
+
+class TestAnchoredClosure:
+    """The closed search after relabelling the ends of added edges first
+    (module docstring, anchored closure) against the plain search."""
+
+    def test_ends_first(self):
+        # closing {1, 3, 4} in the path 0-1-2-3-4 adds 1-3 and 1-4, not 3-4
+        host, old_label, k = _ends_first(path_graph(5), [4, 3, 1])
+        assert (old_label, k) == ([1, 3, 4, 0, 2], 3)
+        assert host == path_graph(5).with_clique([1, 3, 4]).relabel([3, 0, 4, 1, 2])
+
+    def test_differential_against_plain_search(self):
+        kinds = [("fs", 1), ("fs", 2), ("fs", 3), ("qt", 1), ("qt", 2)]
+        cases = closure_cases(random.Random(2301), 800, 9, kinds, 5)
+        assert check_anchored_closures(cases) > 100
+
+    @pytest.mark.slow
+    def test_differential_sweep(self):
+        kinds = [("fs", 2), ("fs", 3), ("qt", 1), ("qt", 2)]
+        cases = closure_cases(random.Random(6008), 4000, 10, kinds, 6)
+        assert check_anchored_closures(cases) > 500
 
 
 class TestCertificates:
