@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -34,18 +33,16 @@ from .graph import Graph, g6_decode, g6_encode
 from .minor import (
     DEFAULT_NODE_BUDGET,
     EXHAUSTED,
+    WitnessAnswer,
     check_structure_fs,
     check_structure_qt,
     clique_closure_check,
     find_minor_model,
-    fs_subgraph_witness,
-    has_fs_minor,
-    has_qt_minor,
-    qt_subgraph_witness,
 )
 from .search import (
     edge_bound_audit,
     extremal_search,
+    parse_constraint,
     reports_to_csv,
     verify_theorem_small_n,
 )
@@ -125,18 +122,21 @@ def _parse_indices(text: str) -> list[int]:
     return indices
 
 
-_PATTERN_RE = re.compile(r"^(fs:s|qt:t)=(\d+)$")
-
-
-def _parse_fsqt(text: str):
-    m = _PATTERN_RE.match(text)
-    if m is None:
-        return None
-    return m.group(1)[:2], int(m.group(2))
-
-
-def _normalize_constraint(text: str) -> str:
-    return re.sub(r"^(fs|qt)-(minor|subgraph):", r"\1-\2-free:", text)
+def _constraint(text: str, relation: str | None, lead: str):
+    """text in the search's constraint grammar, the short form fs:s=N or
+    qt:t=N naming relation, or minor when relation is None (search and
+    verify, which take either relation).  A usage error that names the
+    accepted forms when text does not parse or names the other relation."""
+    try:
+        constraint = parse_constraint(text, relation or "minor")
+    except ValueError:
+        constraint = None
+    if constraint is None or relation not in (None, constraint.relation):
+        r = relation or "R"
+        forms = f"fs:s=N, qt:t=N, fs-{r}:s=N, qt-{r}:t=N, fs-{r}-free:s=N or qt-{r}-free:t=N"
+        rule = "" if relation else ", R minor or subgraph; fs:s=N and qt:t=N name minors"
+        raise _UsageError(f"{lead} {forms} (N >= 1{rule})")
+    return constraint
 
 
 def _cmd_construct(args):
@@ -183,11 +183,9 @@ def _cmd_rho(args):
 
 def _cmd_minor(args):
     host = _read_g6_arg(args.host)
-    fsqt = _parse_fsqt(args.pattern)
-    if fsqt is not None:
-        family, param = fsqt
-        run = has_fs_minor if family == "fs" else has_qt_minor
-        answer = run(host, param, node_budget=args.budget)
+    if ":" in args.pattern:  # never in a g6 string
+        lead = "minor pattern must be a g6 string or"
+        _, answer = _constraint(args.pattern, "minor", lead).answer(host, args.budget)
     else:
         pattern = g6_decode(args.pattern)
         answer = find_minor_model(host, pattern, node_budget=args.budget)
@@ -200,23 +198,14 @@ def _cmd_minor(args):
 
 def _cmd_subgraph(args):
     host = _read_g6_arg(args.host)
-    fsqt = _parse_fsqt(args.pattern)
-    if fsqt is None:
-        raise _UsageError("subgraph pattern must be fs:s=N or qt:t=N")
-    family, param = fsqt
-    code = EXIT_OK
-    if family == "fs":
-        w = fs_subgraph_witness(host, param)
-        out = {
-            "status": "found" if w is not None else "not_found",
-            "witness": w.as_dict() if w is not None else None,
-        }
-    else:
-        answer = qt_subgraph_witness(host, param, node_budget=args.budget)
+    constraint = _constraint(args.pattern, "subgraph", "subgraph pattern must be")
+    status, answer = constraint.answer(host, args.budget)
+    if isinstance(answer, WitnessAnswer):
         out = answer.as_dict()
-        if answer.status == EXHAUSTED:
-            code = EXIT_EXHAUSTED
-    return code, {"json": [json.dumps(out)], "text": [f"status={out['status']}"]}
+    else:  # fs_subgraph_witness: a witness or None
+        out = {"status": status, "witness": answer.as_dict() if answer is not None else None}
+    code = EXIT_EXHAUSTED if status == EXHAUSTED else EXIT_OK
+    return code, {"json": [json.dumps(out)], "text": [f"status={status}"]}
 
 
 def _common_neighborhood(g: Graph, A: list[int]) -> list[int]:
@@ -270,7 +259,7 @@ def _cmd_lemmas(args):
 
 
 def _cmd_search(args):
-    constraint = _normalize_constraint(args.constraint)
+    constraint = _constraint(args.constraint, None, "constraint must be")
     report = extremal_search(args.n, constraint, node_budget=args.budget, workers=args.workers)
     return EXIT_EXHAUSTED if report.exhausted_count > 0 else EXIT_OK, {
         "json": [report.to_json()],
@@ -283,17 +272,10 @@ def _cmd_search(args):
     }
 
 
-_MODE_RE = re.compile(r"^(fs:s|qt:t|qt-subgraph:t)=(\d+)$")
-
-
 def _cmd_verify(args):
-    m = _MODE_RE.match(args.mode)
-    if m is None:
-        raise _UsageError("mode must be fs:s=N, qt:t=N, or qt-subgraph:t=N")
-    mode = m.group(1).rsplit(":", 1)[0]
-    param = int(m.group(2))
+    constraint = _constraint(args.mode, None, "mode must be")
     reports = verify_theorem_small_n(
-        mode, param, (args.n_from, args.n_to), node_budget=args.budget, workers=args.workers
+        constraint, (args.n_from, args.n_to), node_budget=args.budget, workers=args.workers
     )
     code = EXIT_EXHAUSTED if any(r.exhausted_count > 0 for r in reports) else EXIT_OK
     return code, {
@@ -363,11 +345,11 @@ _COMMANDS = {
         _arg("--closed-form", action="store_true", help=f"compare against the analytic value (families only); mismatch over {CLOSED_FORM_TOLERANCE:g} exits 2"),
     )),
     "minor": _Command(_cmd_minor, "minor containment with certificate", ("json", "text"), ("budget",), (
-        _arg("--pattern", required=True, help="fs:s=N, qt:t=N, or a g6 string"),
+        _arg("--pattern", required=True, help="fs:s=N, qt:t=N (also fs-minor[-free]:s=N, qt-minor[-free]:t=N), or a g6 string"),
         _HOST,
     )),
     "subgraph": _Command(_cmd_subgraph, "direct subgraph witness search", ("json", "text"), ("budget",), (
-        _arg("--pattern", required=True, help="fs:s=N or qt:t=N"),
+        _arg("--pattern", required=True, help="fs:s=N or qt:t=N (also fs-subgraph[-free]:s=N, qt-subgraph[-free]:t=N)"),
         _HOST,
     )),
     "lemmas": _Command(_cmd_lemmas, "structural lemma checks on a host", ("json", "text"), ("budget",), (
@@ -378,11 +360,11 @@ _COMMANDS = {
         _arg("--param", type=int, default=None, help="l34/l54: s or t (default: |A|)"),
     )),
     "search": _Command(_cmd_search, "exhaustive extremal search at one n", ("json", "csv", "text"), ("budget", "workers"), (
-        _arg("--constraint", required=True, help="e.g. fs-minor-free:s=1 (the -free infix may be omitted)"),
+        _arg("--constraint", required=True, help="e.g. fs-minor-free:s=1, qt-subgraph:t=1, or fs:s=1 for fs-minor-free:s=1"),
         _arg("--n", type=int, required=True),
     )),
     "verify": _Command(_cmd_verify, "per-n searches with predicted-graph sanity checks", ("json", "csv", "text"), ("budget", "workers"), (
-        _arg("--mode", required=True, help="fs:s=N, qt:t=N, or qt-subgraph:t=N"),
+        _arg("--mode", required=True, help="a search constraint: fs:s=N, qt:t=N (minors), or e.g. qt-subgraph:t=N"),
         _arg("--n-from", type=int, required=True),
         _arg("--n-to", type=int, required=True),
     )),

@@ -191,6 +191,7 @@ from .graph import (
     canonical_code,  # unused here; perfbench/spans.py wraps it by this name
     canonical_perm,
     compare_least,
+    component_masks,
     iter_bits,
     least_columns,
 )
@@ -374,23 +375,6 @@ def _subsets(m, cap, must):
     )
 
 
-def _components(rows, within):
-    """The vertex masks of the components of the subgraph induced on
-    within, by smallest member, from a breadth-first search over _BITS."""
-    comps = []
-    while within:
-        comp = frontier = within & -within
-        while frontier:
-            reach = 0
-            for v in _BITS[frontier]:
-                reach |= rows[v]
-            frontier = reach & within & ~comp
-            comp |= frontier
-        comps.append(comp)
-        within ^= comp
-    return comps
-
-
 def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     m = len(parent)
     n = m + 1
@@ -399,7 +383,7 @@ def _children(parent: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     # splits[w]: the components of P-w for a cut vertex w, () for a
     # non-cut one, which the component test of 5 never rejects once its
     # degree is at most |S| (module docstring, 13)
-    splits = [_components(parent, (bit_new - 1) ^ (1 << w)) for w in range(m)]
+    splits = [component_masks(parent, (bit_new - 1) ^ (1 << w)) for w in range(m)]
     splits = [comps if len(comps) > 1 else () for comps in splits]
     pdeg = [len(nb) for nb in nbrs]
     low = min(pdeg[w] for w in range(m) if not splits[w])

@@ -302,12 +302,20 @@ def reachable_mask(rows: tuple[int, ...], start_mask: int, within: int) -> int:
 
 def component_masks(rows: tuple[int, ...], within: int) -> list[int]:
     """Vertex masks of the components of the subgraph induced on `within`,
-    by smallest member."""
+    by smallest member, from a breadth-first search over set bits."""
     comps = []
     while within:
-        comp = reachable_mask(rows, within & -within, within)
+        comp = frontier = within & -within
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & within & ~comp
+            comp |= frontier
         comps.append(comp)
-        within &= ~comp
+        within ^= comp
     return comps
 
 def is_connected(g: Graph) -> bool:

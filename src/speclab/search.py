@@ -85,13 +85,13 @@ other labels.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import multiprocessing
 import re
 import time
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .enumerate import connected_rows, enumerate_connected, enumerate_connected_slice
 from .errors import BudgetExhausted, VerificationFailed
@@ -129,7 +129,7 @@ SCREEN_BATCH = 4096
 # a late start or a costly share is evened out by the others
 SHARES_PER_WORKER = 8
 
-_CONSTRAINT_RE = re.compile(r"^(fs|qt)-(minor|subgraph)-free:([st])=(\d+)$")
+_CONSTRAINT_RE = re.compile(r"^(fs|qt)(?:-(minor|subgraph)(?:-free)?)?:([st])=(\d+)$")
 
 
 @dataclass(frozen=True)
@@ -171,51 +171,65 @@ def reports_to_csv(reports: list[SearchReport], include_elapsed: bool = True) ->
     return out.getvalue()
 
 
-def parse_constraint(descriptor: str) -> tuple[str, str, int]:
-    """Split e.g. "fs-minor-free:s=2" into ("fs", "minor", 2)."""
+class Constraint(NamedTuple):
+    """A freeness constraint: no F_s (family "fs") or no Q_t ("qt") as a
+    minor or as a subgraph (relation).  It equals the tuple (family,
+    relation, param), and its text is the canonical descriptor, for
+    example fs-minor-free:s=2.  Each pattern is paired with the join its
+    extremal claim names: F_s with K_s + I_{n-s}, Q_t with K_t + M_{n-t}."""
+
+    family: str
+    relation: str
+    param: int
+
+    def __str__(self) -> str:
+        letter = "s" if self.family == "fs" else "t"
+        return f"{self.family}-{self.relation}-free:{letter}={self.param}"
+
+    def answer(self, g: Graph, budget: int = DEFAULT_NODE_BUDGET):
+        """(status, answer) of the constraint's test on g, NOT_FOUND when g
+        certifiably passes; answer is the test's own result (a MinorAnswer,
+        a WitnessAnswer, or fs_subgraph_witness's witness or None).  The
+        only place that picks a test; the tests are looked up in this
+        module at each call, so a tracer that replaces them sees it."""
+        if self.relation == "minor":
+            test = has_fs_minor if self.family == "fs" else has_qt_minor
+            answer = test(g, self.param, node_budget=budget)
+        elif self.family == "fs":
+            answer = fs_subgraph_witness(g, self.param)
+            return (NOT_FOUND if answer is None else FOUND), answer
+        else:
+            answer = qt_subgraph_witness(g, self.param, node_budget=budget)
+        return answer.status, answer
+
+    def status(self, g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> str:
+        """NOT_FOUND when g certifiably passes the constraint."""
+        return self.answer(g, budget)[0]
+
+    def holds(self, budget: int):
+        """The walk's holds: is the pattern found in the graph with rows?"""
+        return lambda rows: self.status(Graph(rows), budget) == FOUND
+
+    def predicted(self, n: int) -> FamilySpec:
+        """The join construction the constraint's extremal claim names."""
+        if self.family == "fs":
+            return FamilySpec("ks-join-independent", s=self.param, n=n)
+        return FamilySpec("kt-join-matching", t=self.param, n=n)
+
+
+def parse_constraint(descriptor: str, relation: str = "minor") -> Constraint:
+    """The Constraint a descriptor names: fs-minor-free:s=2, fs-minor:s=2
+    or the short form fs:s=2, which names relation."""
     m = _CONSTRAINT_RE.match(descriptor)
     if m is None:
         raise ValueError(f"bad constraint descriptor {descriptor!r}")
-    family, relation, letter, value = m.groups()
+    family, named, letter, value = m.groups()
     if (family == "fs") != (letter == "s"):
         raise ValueError(f"constraint {descriptor!r} pairs {family} with {letter}")
     param = int(value)
     if param < 1:
         raise ValueError("constraint parameter must be >= 1")
-    return family, relation, param
-
-
-def _status(g: Graph, family: str, relation: str, param: int, budget: int) -> str:
-    """NOT_FOUND when g certifiably passes the freeness constraint."""
-    if relation == "minor":
-        if family == "fs":
-            return has_fs_minor(g, param, node_budget=budget).status
-        return has_qt_minor(g, param, node_budget=budget).status
-    if family == "fs":
-        return NOT_FOUND if fs_subgraph_witness(g, param) is None else FOUND
-    return qt_subgraph_witness(g, param, node_budget=budget).status
-
-
-def _test_graph(g: Graph, *constraint) -> str:
-    """_status of a graph the walk settles, or of verify's predicted join:
-    the tests that decide a report.  The saturation check, which verifies
-    a finished report, calls _status, so the two kinds of test can be told
-    apart."""
-    return _status(g, *constraint)
-
-
-def predicted_spec(constraint: str, n: int) -> FamilySpec:
-    """The join construction the constraint's extremal claim names."""
-    family, _, param = parse_constraint(constraint)
-    if family == "fs":
-        return FamilySpec("ks-join-independent", s=param, n=n)
-    return FamilySpec("kt-join-matching", t=param, n=n)
-
-
-def _holds(family, relation, param, budget, rows):
-    """Is the pattern found in the graph with these rows?  Bound to the
-    parsed constraint with functools.partial, this is the walk's holds."""
-    return _test_graph(Graph(rows), family, relation, param, budget) == FOUND
+    return Constraint(family, named or relation, param)
 
 
 def _screened(keep, batch):
@@ -228,20 +242,20 @@ def _screened(keep, batch):
     return [e for e in keep if e[0] >= best - SCREEN_WINDOW]
 
 
-def _scan(parents, holds):
+def _scan(parents, constraint, budget):
     """Test the children of parents, (rows, inherited) pairs of one level,
-    and screen the feasible ones a whole SCREEN_BATCH at a time.  holds is
-    _holds bound to the constraint; the walk tests the parents with it,
-    and the scan each child with its arguments.  Returns the counts,
-    keep, and the last batch, which is left for the merge to screen."""
+    and screen the feasible ones a whole SCREEN_BATCH at a time; the walk
+    tests the parents with constraint.holds, and the scan each child with
+    constraint.status.  Returns the counts, keep, and the last batch,
+    which is left for the merge to screen."""
     enumerated = feasible = exhausted = 0
     keep: list[tuple[float, tuple[int, ...]]] = []
     batch: list[tuple[int, ...]] = []
-    for rows, inherited in enumerate_connected_slice(parents, holds):
+    for rows, inherited in enumerate_connected_slice(parents, constraint.holds(budget)):
         enumerated += 1
         if inherited:
             continue  # an ancestor's model is a model in g (module docstring)
-        status = _test_graph(Graph(rows), *holds.args)
+        status = constraint.status(Graph(rows), budget)
         if status == EXHAUSTED:
             exhausted += 1
         elif status == NOT_FOUND:
@@ -265,13 +279,13 @@ def _shares(parents, size, taken):
         yield from parents[start : start + size]
 
 
-def _child_scan(send, parents, size, taken, holds):
+def _child_scan(send, parents, size, taken, constraint, budget):
     """A forked worker: _scan over the shares it takes, and its result, or
     the exception that stopped it, sent back through send.  A failing
     worker first moves taken past the last parent, so every process stops
     at its next share: the search fails whatever the others find."""
     try:
-        result = _scan(_shares(parents, size, taken), holds)
+        result = _scan(_shares(parents, size, taken), constraint, budget)
     except Exception as exc:  # re-raised by the search process
         with taken.get_lock():
             taken.value = len(parents)
@@ -294,13 +308,13 @@ def _child_result(child, receive):
     return result
 
 
-def _parallel_scan(parents, holds, workers):
+def _parallel_scan(parents, constraint, budget, workers):
     """The _scan results of workers processes that take level n-1 share by
     share.  The search process is one of them: it forks the others first,
     then loads numpy while they scan, and scans too.  The workers are
     terminated and joined on every path."""
     parents = list(parents)
-    # forked, so the workers share parents and holds without pickling; a
+    # forked, so the workers share parents without pickling; a
     # search forks before it loads numpy, so no BLAS thread is copied
     ctx = multiprocessing.get_context("fork")
     taken = ctx.Value("i", 0)
@@ -309,12 +323,12 @@ def _parallel_scan(parents, holds, workers):
     try:
         for _ in range(workers - 1):
             receive, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_child_scan, args=(send, parents, size, taken, holds))
+            child = ctx.Process(target=_child_scan, args=(send, parents, size, taken, constraint, budget))
             child.start()
             children.append((child, receive))
             send.close()
         load_numpy()
-        partials = [_scan(_shares(parents, size, taken), holds)]
+        partials = [_scan(_shares(parents, size, taken), constraint, budget)]
         return partials + [_child_result(*c) for c in children]
     finally:
         for child, receive in children:
@@ -335,7 +349,7 @@ def _power_radius(screen, rows):
     return rho
 
 
-def _check_saturated(maximizers, family, relation, param, budget):
+def _check_saturated(maximizers, constraint, budget):
     """VerificationFailed when a maximizer plus one of its non-edges passes
     the constraint (module docstring)."""
     for g6 in maximizers:
@@ -344,7 +358,7 @@ def _check_saturated(maximizers, family, relation, param, budget):
             for v in range(u + 1, g.n):
                 if g.has_edge(u, v):
                     continue
-                if _status(g.with_edge(u, v), family, relation, param, budget) == NOT_FOUND:
+                if constraint.status(g.with_edge(u, v), budget) == NOT_FOUND:
                     raise VerificationFailed(
                         f"maximizer {g6} plus edge {u}-{v} still passes the constraint"
                     )
@@ -352,11 +366,12 @@ def _check_saturated(maximizers, family, relation, param, budget):
 
 def extremal_search(
     n: int,
-    constraint: str,
+    constraint: Constraint | str,
     node_budget: int = DEFAULT_NODE_BUDGET,
     workers: int = 1,
 ) -> SearchReport:
-    """Maximize rho over connected n-vertex graphs passing the constraint.
+    """Maximize rho over connected n-vertex graphs passing the constraint,
+    a Constraint or its descriptor.
 
     With more workers, the search lists level n-1 once and cuts it into
     consecutive shares; the search process and workers - 1 forked workers
@@ -384,15 +399,16 @@ def extremal_search(
     if n < 1:
         raise ValueError("n must be >= 1")
     t0 = time.perf_counter()
+    if isinstance(constraint, str):
+        constraint = parse_constraint(constraint)
     # built first, so a join its spec rules out (s >= n) fails before the scan
-    g_pred, _ = construct(predicted_spec(constraint, n))
+    g_pred, _ = construct(constraint.predicted(n))
     pred_g6 = canonical_code(g_pred).decode("ascii")
-    holds = functools.partial(_holds, *parse_constraint(constraint), node_budget)
-    parents = connected_rows(n - 1, holds)
+    parents = connected_rows(n - 1, constraint.holds(node_budget))
     if workers == 1:
-        partials = [_scan(parents, holds)]
+        partials = [_scan(parents, constraint, node_budget)]
     else:
-        partials = _parallel_scan(parents, holds, workers)
+        partials = _parallel_scan(parents, constraint, node_budget, workers)
     enumerated = sum(p[0] for p in partials)
     feasible = sum(p[1] for p in partials)
     exhausted = sum(p[2] for p in partials)
@@ -412,11 +428,11 @@ def extremal_search(
         tied = (rows for rho, rows in near if rho >= best - TIE_TOLERANCE)
         maximizers = tuple(sorted(canonical_code(Graph(rows)).decode("ascii") for rows in tied))
         if exhausted == 0:
-            _check_saturated(maximizers, *holds.args)
+            _check_saturated(maximizers, constraint, node_budget)
     match = exhausted == 0 and pred_g6 in maximizers
     return SearchReport(
         n=n,
-        constraint=constraint,
+        constraint=str(constraint),
         enumerated=enumerated,
         feasible=feasible,
         best_rho=best,
@@ -428,21 +444,14 @@ def extremal_search(
     )
 
 
-_MODE_CONSTRAINTS = {
-    "fs": "fs-minor-free:s={p}",
-    "qt": "qt-minor-free:t={p}",
-    "qt-subgraph": "qt-subgraph-free:t={p}",
-}
-
-
 def verify_theorem_small_n(
-    mode: str,
-    param: int,
+    constraint: Constraint,
     n_range: tuple[int, int],
     node_budget: int = DEFAULT_NODE_BUDGET,
     workers: int = 1,
 ) -> list[SearchReport]:
-    """One extremal search per n, with the predicted graph sanity-checked.
+    """One extremal search per n for the constraint, with the predicted
+    graph sanity-checked.
 
     Never asserts that the search agrees with the extremal claim (that
     holds only for large n); instead asserts that the predicted join
@@ -452,20 +461,15 @@ def verify_theorem_small_n(
     raises BudgetExhausted; one that finds the pattern raises
     VerificationFailed.
     """
-    if mode not in _MODE_CONSTRAINTS:
-        raise ValueError(f"mode must be one of {sorted(_MODE_CONSTRAINTS)}")
     lo, hi = n_range
     if lo > hi:
         raise ValueError("empty n range")
-    constraint_for = _MODE_CONSTRAINTS[mode]
     load_numpy()
     reports = []
     for n in range(lo, hi + 1):
-        constraint = constraint_for.format(p=param)
-        spec = predicted_spec(constraint, n)
+        spec = constraint.predicted(n)
         g_pred, _ = construct(spec)
-        family, relation, _ = parse_constraint(constraint)
-        status = _test_graph(g_pred, family, relation, param, node_budget)
+        status = constraint.status(g_pred, node_budget)
         if status != NOT_FOUND:
             error = BudgetExhausted if status == EXHAUSTED else VerificationFailed
             raise error(
@@ -544,13 +548,13 @@ def edge_bound_audit(
 
 
 __all__ = [
+    "Constraint",
     "SearchReport",
     "TIE_TOLERANCE",
     "edge_bound_audit",
     "enumerate_connected",
     "extremal_search",
     "parse_constraint",
-    "predicted_spec",
     "reports_to_csv",
     "verify_theorem_small_n",
 ]

@@ -22,7 +22,7 @@ from speclab.minor import (
     has_qt_minor,
     verify_model,
 )
-from speclab.search import verify_theorem_small_n
+from speclab.search import parse_constraint, verify_theorem_small_n
 from speclab.spectral import rho_closed_form, spectral_radius, verify_perron_bound
 
 
@@ -162,7 +162,7 @@ def test_criterion_3_constructions_minor_free(capsys):
 
 def test_criterion_4_small_n_search_s1(capsys):
     t0 = time.perf_counter()
-    reports = verify_theorem_small_n("fs", 1, (4, 9), workers=1)
+    reports = verify_theorem_small_n(parse_constraint("fs:s=1"), (4, 9), workers=1)
     elapsed = time.perf_counter() - t0
     problems = []
     for r in reports:

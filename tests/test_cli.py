@@ -209,17 +209,10 @@ class TestExitCodes:
     def test_search_maximizer_feasible_with_an_edge_is_claim_failure(
         self, capsys, monkeypatch
     ):
-        from speclab import search
-        from speclab.minor import NOT_FOUND
-        from test_search import unwalked_non_edge
+        from test_search import plant_feasible, unwalked_non_edge
 
         g6, (u, v), target = unwalked_non_edge(monkeypatch, 5, "fs-minor-free:s=1")
-        real = search._status
-        monkeypatch.setattr(
-            search,
-            "_status",
-            lambda h, *args: NOT_FOUND if h.rows == target else real(h, *args),
-        )
+        plant_feasible(monkeypatch, target)
         code, out, err = invoke(
             capsys, ["search", "--constraint", "fs-minor:s=1", "--n", "5", "--workers", "1"]
         )
@@ -564,6 +557,92 @@ FORMAT_MATRIX = [
         "complete-bipartite:a=5,b=20: edges=100 expected=100 ok=True\n",
     ),
 ]
+
+
+_SEARCH = ["search", "--n", "5", "--workers", "1", "--constraint"]
+_VERIFY = ["verify", "--n-from", "4", "--n-to", "5", "--workers", "1", "--mode"]
+_FS1_N4_N5 = "n=4 match=True best_rho=1.7320508075688772 maximizers=1\nn=5 match=True best_rho=1.9999999999999996 maximizers=1\n"
+_QT1_N4_N5 = "n=4 match=True best_rho=2.1700864866260337 maximizers=1\nn=5 match=True best_rho=2.5615528128088307 maximizers=1\n"
+
+# The constraint spellings of the four commands that read one, in groups
+# of one meaning: (argv before the spelling, spellings, the constraint
+# that search and verify report, --format text stdout).  A short form
+# fs:s=N or qt:t=N names the command's own relation, minor for search and
+# verify.  Each spelling's json is compared with that of its group's first.
+SPELLINGS = [
+    (["minor", "--host", "F?B~w", "--pattern"], ["fs:s=2", "fs-minor:s=2", "fs-minor-free:s=2"], None, "status=not_found nodes=4065\n"),
+    (["minor", "--host", "F?B~w", "--pattern"], ["qt:t=1", "qt-minor:t=1", "qt-minor-free:t=1"], None, "status=found nodes=9\n"),
+    (["subgraph", "--host", "F?B~w", "--pattern"], ["fs:s=1", "fs-subgraph:s=1", "fs-subgraph-free:s=1"], None, "status=found\n"),
+    (["subgraph", "--host", "Cl", "--pattern"], ["qt:t=1", "qt-subgraph:t=1", "qt-subgraph-free:t=1"], None, "status=found\n"),
+    (
+        _SEARCH,
+        ["fs-minor-free:s=1", "fs-minor:s=1", "fs:s=1", "fs-minor-free:s=01"],
+        "fs-minor-free:s=1",
+        "n=5 fs-minor-free:s=1: enumerated=21 feasible=3 best_rho=1.9999999999999996 match=True exhausted=0\n",
+    ),
+    (
+        _SEARCH,
+        ["qt-subgraph-free:t=1", "qt-subgraph:t=1"],
+        "qt-subgraph-free:t=1",
+        "n=5 qt-subgraph-free:t=1: enumerated=21 feasible=8 best_rho=2.5615528128088307 match=True exhausted=0\n",
+    ),
+    (_VERIFY, ["fs:s=1", "fs-minor:s=1", "fs-minor-free:s=1"], "fs-minor-free:s=1", _FS1_N4_N5),
+    (_VERIFY, ["qt:t=1", "qt-minor:t=1", "qt-minor-free:t=1"], "qt-minor-free:t=1", _QT1_N4_N5),
+    (_VERIFY, ["qt-subgraph:t=1", "qt-subgraph-free:t=1"], "qt-subgraph-free:t=1", _QT1_N4_N5),
+    (
+        _VERIFY,
+        ["fs-subgraph:s=1", "fs-subgraph-free:s=1"],
+        "fs-subgraph-free:s=1",
+        "n=4 match=False best_rho=2.0 maximizers=1\nn=5 match=False best_rho=2.449489742783178 maximizers=1\n",
+    ),
+]
+
+# spellings refused with exit 1 and a message that names the accepted forms
+REFUSED = [
+    (["minor", "--host", "F?B~w", "--pattern", "fs-subgraph:s=2"], "minor pattern must be a g6 string or fs:s=N, qt:t=N, fs-minor:s=N"),
+    (["minor", "--host", "F?B~w", "--pattern", "qt-subgraph-free:t=1"], "minor pattern must be"),
+    (["minor", "--host", "F?B~w", "--pattern", "fs:t=2"], "minor pattern must be"),
+    (["minor", "--host", "F?B~w", "--pattern", "qt:t=0"], "(N >= 1)"),
+    (["subgraph", "--host", "F?B~w", "--pattern", "fs-minor:s=1"], "subgraph pattern must be fs:s=N, qt:t=N, fs-subgraph:s=N"),
+    (["subgraph", "--host", "F?B~w", "--pattern", "qt-minor-free:t=1"], "subgraph pattern must be"),
+    (["subgraph", "--host", "F?B~w", "--pattern", "Bw"], "subgraph pattern must be"),
+    (_SEARCH[:-1] + ["--constraint", "fs:t=1"], "constraint must be fs:s=N, qt:t=N, fs-R:s=N"),
+    (_SEARCH[:-1] + ["--constraint", "fs-minorfree:s=1"], "R minor or subgraph"),
+    (_VERIFY[:-1] + ["--mode", "fs:t=1"], "mode must be fs:s=N, qt:t=N, fs-R:s=N"),
+    (_VERIFY[:-1] + ["--mode", "zz-minor-free:s=1"], "mode must be"),
+    (_VERIFY[:-1] + ["--mode", "fs-minor-free:s=0"], "N >= 1"),
+]
+
+
+def _without_elapsed(out):
+    got = json.loads(out)
+    for report in got if isinstance(got, list) else [got]:
+        if isinstance(report, dict):
+            report.pop("elapsed", None)
+    return got
+
+
+class TestSpellings:
+    @pytest.mark.parametrize(
+        "head,first,spelling,constraint,text",
+        [(head, sp[0], spelling, c, text) for head, sp, c, text in SPELLINGS for spelling in sp],
+        ids=[f"{head[0]} {spelling}" for head, sp, _, _ in SPELLINGS for spelling in sp],
+    )
+    def test_spellings_of_one_constraint_print_the_same(self, capsys, head, first, spelling, constraint, text):
+        assert invoke(capsys, [*head, spelling, "--format", "text"]) == (0, text, "")
+        code, out, _ = invoke(capsys, [*head, spelling])
+        want = invoke(capsys, [*head, first])[1]
+        assert code == 0 and _without_elapsed(out) == _without_elapsed(want)
+        if constraint is not None:
+            reports = _without_elapsed(out)
+            for report in reports if isinstance(reports, list) else [reports]:
+                assert report["constraint"] == constraint
+
+    @pytest.mark.parametrize("argv,message", REFUSED, ids=[" ".join(argv[-2:]) for argv, _ in REFUSED])
+    def test_other_spellings_are_usage_errors(self, capsys, argv, message):
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (1, "")
+        assert message in err
 
 
 class TestCommandTable:

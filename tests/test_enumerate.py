@@ -1,11 +1,11 @@
 import hashlib
 import random
-from functools import cache, partial
+from functools import cache
 from itertools import permutations
 
 import pytest
 
-from speclab import enumerate as enumeration, search
+from speclab import enumerate as enumeration
 from speclab.enumerate import (
     _BITS,
     _accept,
@@ -187,7 +187,7 @@ def list_walk(n, holds):
 class TestAncestorChain:
     @pytest.mark.parametrize("constraint", ["fs-minor-free:s=2", "qt-minor-free:t=1"])
     def test_matches_list_walk(self, constraint):
-        rule = partial(search._holds, *parse_constraint(constraint), DEFAULT_NODE_BUDGET)
+        rule = parse_constraint(constraint).holds(DEFAULT_NODE_BUDGET)
         for n in range(1, 8):
             calls = {"list": [], "chain": []}
 

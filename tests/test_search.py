@@ -25,11 +25,11 @@ from speclab.minor import (
     has_qt_minor,
 )
 from speclab.search import (
+    Constraint,
     SearchReport,
     edge_bound_audit,
     extremal_search,
     parse_constraint,
-    predicted_spec,
     reports_to_csv,
     verify_theorem_small_n,
 )
@@ -84,11 +84,8 @@ def connected(n):
 
 def reference_search(n, constraint, budget):
     """Statuses by rows and the report of a scan that tests every graph."""
-    family, relation, param = parse_constraint(constraint)
-    statuses = {
-        g.rows: search._test_graph(g, family, relation, param, budget)
-        for g in connected(n)
-    }
+    c = parse_constraint(constraint)
+    statuses = {g.rows: c.status(g, budget) for g in connected(n)}
     rhos = {
         rows: spectral_radius(Graph(rows)).rho
         for rows, status in statuses.items()
@@ -104,7 +101,7 @@ def reference_search(n, constraint, budget):
                 if rho >= best - search.TIE_TOLERANCE
             )
         )
-    pred, _ = construct(predicted_spec(constraint, n))
+    pred, _ = construct(parse_constraint(constraint).predicted(n))
     pred_g6 = canonical_code(pred).decode("ascii")
     exhausted = sum(status == EXHAUSTED for status in statuses.values())
     report = SearchReport(
@@ -128,16 +125,42 @@ def prefix(rows, k):
     return tuple(r & ((1 << k) - 1) for r in rows[:k])
 
 
+def patch_status(monkeypatch, planted, walk_only=True):
+    """Route every Constraint.status call through planted(real, constraint,
+    g, budget); with walk_only, the saturation check's calls bypass it, so
+    planted sees the tests that decide a report: the walk's and those of
+    verify's predicted join."""
+    real = Constraint.status
+    checking = []
+    if walk_only:
+        real_check = search._check_saturated
+
+        def check(*args):
+            checking.append(True)
+            try:
+                return real_check(*args)
+            finally:
+                checking.pop()
+
+        monkeypatch.setattr(search, "_check_saturated", check)
+
+    def status(self, g, budget=DEFAULT_NODE_BUDGET):
+        if checking:
+            return real(self, g, budget)
+        return planted(real, self, g, budget)
+
+    monkeypatch.setattr(Constraint, "status", status)
+
+
 def record_tests(monkeypatch):
-    """Rows of every graph search._test_graph is called on, in call order."""
+    """Rows of every graph the walk tests, in call order."""
     calls = []
-    real = search._test_graph
 
-    def spy(g, *args):
+    def spy(real, c, g, budget):
         calls.append(g.rows)
-        return real(g, *args)
+        return real(c, g, budget)
 
-    monkeypatch.setattr(search, "_test_graph", spy)
+    patch_status(monkeypatch, spy)
     return calls
 
 
@@ -165,12 +188,31 @@ class TestConstraintParsing:
         assert parse_constraint("fs-subgraph-free:s=3") == ("fs", "subgraph", 3)
         assert parse_constraint("qt-subgraph-free:t=2") == ("qt", "subgraph", 2)
 
+    @pytest.mark.parametrize(
+        "text,relation,want",
+        [
+            ("fs-minor:s=2", "minor", "fs-minor-free:s=2"),
+            ("qt-subgraph:t=1", "minor", "qt-subgraph-free:t=1"),
+            ("fs:s=1", "minor", "fs-minor-free:s=1"),
+            ("qt:t=3", "subgraph", "qt-subgraph-free:t=3"),
+            ("fs-minor:s=1", "subgraph", "fs-minor-free:s=1"),  # named beats short
+            ("fs-minor-free:s=01", "minor", "fs-minor-free:s=1"),
+        ],
+    )
+    def test_short_forms_and_canonical_text(self, text, relation, want):
+        c = parse_constraint(text, relation)
+        assert str(c) == want
+        assert parse_constraint(want) == c
+        assert c == tuple(c) and isinstance(c, Constraint)
+
     def test_rejects_malformed(self):
         for bad in (
             "fs-minor-free:t=2",  # fs pairs with s
             "qt-minor-free:s=1",
             "fs-minor-free:s=0",
             "fs-minorfree:s=2",
+            "fs-free:s=2",
+            "fs:t=2",
             "zz-minor-free:s=2",
             "fs-minor-free",
             "",
@@ -179,10 +221,10 @@ class TestConstraintParsing:
                 parse_constraint(bad)
 
     def test_predicted_spec_by_family(self):
-        assert predicted_spec("fs-minor-free:s=2", 9) == FamilySpec(
+        assert parse_constraint("fs-minor-free:s=2").predicted(9) == FamilySpec(
             "ks-join-independent", s=2, n=9
         )
-        assert predicted_spec("qt-subgraph-free:t=1", 7) == FamilySpec(
+        assert parse_constraint("qt-subgraph-free:t=1").predicted(7) == FamilySpec(
             "kt-join-matching", t=1, n=7
         )
 
@@ -355,18 +397,17 @@ class TestExtremalSearch:
             extremal_search(0, "fs-minor-free:s=1")
 
 
-def at_level(n, in_search, in_workers):
-    """A search._test_graph that calls in_search or in_workers, by the
-    process it runs in, before testing a graph on n vertices."""
+def at_level(monkeypatch, n, in_search, in_workers):
+    """Make the walk call in_search or in_workers, by the process it runs
+    in, before it tests a graph on n vertices."""
     search_pid = os.getpid()
-    real = search._test_graph
 
-    def planted(g, *args):
+    def planted(real, c, g, budget):
         if g.n == n:
             (in_search if os.getpid() == search_pid else in_workers)()
-        return real(g, *args)
+        return real(c, g, budget)
 
-    return planted
+    patch_status(monkeypatch, planted)
 
 
 class TestWorkers:
@@ -402,7 +443,7 @@ class TestWorkers:
         # the search process waits at its first graph until a worker has
         # screened a batch, so the workers take shares meanwhile
         wait = functools.partial(screened.wait, timeout=60)
-        monkeypatch.setattr(search, "_test_graph", at_level(n, wait, lambda: None))
+        at_level(monkeypatch, n, wait, lambda: None)
         for workers in (2, 3, 4):
             got = extremal_search(n, constraint, workers=workers)
             assert got.to_json(include_elapsed=False) == want
@@ -417,9 +458,8 @@ class TestWorkers:
             raise VerificationFailed("planted")
 
         search_pid = os.getpid()
-        real = search._test_graph
 
-        def planted(g, *args):
+        def planted(real, c, g, budget):
             if g.n == 7 and os.getpid() != search_pid:
                 fail()
             elif g.n == 7:
@@ -432,9 +472,9 @@ class TestWorkers:
                     while multiprocessing.active_children() and time.monotonic() < deadline:
                         time.sleep(0.01)
                 tested.append(tuple(r & 0b111111 for r in g.rows[:6]))
-            return real(g, *args)
+            return real(c, g, budget)
 
-        monkeypatch.setattr(search, "_test_graph", planted)
+        patch_status(monkeypatch, planted)
         with pytest.raises(VerificationFailed, match="planted"):
             extremal_search(7, "fs-subgraph-free:s=1", workers=2)
         assert multiprocessing.active_children() == []
@@ -456,7 +496,7 @@ class TestWorkers:
 
         # a worker stalls at its first graph of level 7, so the search
         # process takes the other shares and fails while the worker runs
-        monkeypatch.setattr(search, "_test_graph", at_level(7, fail, stall))
+        at_level(monkeypatch, 7, fail, stall)
         with pytest.raises(VerificationFailed, match="planted"):
             extremal_search(7, "fs-subgraph-free:s=1", workers=2)
         assert multiprocessing.active_children() == []
@@ -470,7 +510,7 @@ class TestWorkers:
             os._exit(3)
 
         wait = functools.partial(died.wait, timeout=60)
-        monkeypatch.setattr(search, "_test_graph", at_level(7, wait, die))
+        at_level(monkeypatch, 7, wait, die)
         with pytest.raises(RuntimeError, match="exited with code 3 without a result"):
             extremal_search(7, "fs-subgraph-free:s=1", workers=2)
         assert multiprocessing.active_children() == []
@@ -509,13 +549,9 @@ class TestParentRule:
         # the ancestor rule: a graph on k vertices is tested, once, iff
         # none of its prefixes on j < k vertices holds the pattern
         n, constraint = 7, "fs-minor-free:s=1"
-        family, relation, param = parse_constraint(constraint)
+        c = parse_constraint(constraint)
         graphs = [g.rows for k in range(1, n + 1) for g in connected(k)]
-        found = {
-            rows: search._test_graph(Graph(rows), family, relation, param, DEFAULT_NODE_BUDGET)
-            == FOUND
-            for rows in graphs
-        }
+        found = {rows: c.status(Graph(rows)) == FOUND for rows in graphs}
         tested = [
             rows
             for rows in graphs
@@ -535,12 +571,8 @@ class TestParentRule:
         # budget 12: some graphs on 7 vertices run out of budget, and so do
         # their parents, while an earlier ancestor has a certified F_2 model
         n, constraint, budget = 7, "fs-minor-free:s=2", 12
-        family, relation, param = parse_constraint(constraint)
-        status = {
-            g.rows: search._test_graph(g, family, relation, param, budget)
-            for k in range(1, n + 1)
-            for g in connected(k)
-        }
+        c = parse_constraint(constraint)
+        status = {g.rows: c.status(g, budget) for k in range(1, n + 1) for g in connected(k)}
 
         def exhausted(ancestors):
             return sum(
@@ -571,17 +603,25 @@ def non_edges(g6):
 
 
 def record_status(monkeypatch):
-    """Rows of every graph search._status is called on, in call order: the
-    search's tests and then the saturation check's."""
+    """Rows of every graph Constraint.status is called on, in call order:
+    the search's tests and then the saturation check's."""
     calls = []
-    real = search._status
 
-    def spy(g, *args):
+    def spy(real, c, g, budget):
         calls.append(g.rows)
-        return real(g, *args)
+        return real(c, g, budget)
 
-    monkeypatch.setattr(search, "_status", spy)
+    patch_status(monkeypatch, spy, walk_only=False)
     return calls
+
+
+def plant_feasible(monkeypatch, target):
+    """Make every test of the graph with rows target answer NOT_FOUND."""
+
+    def planted(real, c, g, budget):
+        return NOT_FOUND if g.rows == target else real(c, g, budget)
+
+    patch_status(monkeypatch, planted, walk_only=False)
 
 
 def unwalked_non_edge(monkeypatch, n, constraint):
@@ -664,12 +704,7 @@ class TestSaturation:
 
     def test_feasible_graph_with_an_added_edge_raises(self, monkeypatch):
         g6, (u, v), target = unwalked_non_edge(monkeypatch, 6, "fs-minor-free:s=1")
-        real = search._status
-        monkeypatch.setattr(
-            search,
-            "_status",
-            lambda h, *args: NOT_FOUND if h.rows == target else real(h, *args),
-        )
+        plant_feasible(monkeypatch, target)
         with pytest.raises(VerificationFailed, match=f"{g6} plus edge {u}-{v}"):
             extremal_search(6, "fs-minor-free:s=1")
 
@@ -682,42 +717,101 @@ class TestSaturation:
         assert r.exhausted_count > 0 and r.maximizers
 
 
+# the speclab.search attributes that perfbench/spans.py replaces to trace
+# a search; the tests of each constraint kind and the join's construction
+TRACED = {
+    "fs-minor-free:s=1": "has_fs_minor",
+    "qt-minor-free:t=1": "has_qt_minor",
+    "fs-subgraph-free:s=1": "fs_subgraph_witness",
+    "qt-subgraph-free:t=1": "qt_subgraph_witness",
+}
+
+
+def count_traced(monkeypatch):
+    """Counting wrappers on the traced names, set as a tracer sets them."""
+    counts = dict.fromkeys([*TRACED.values(), "construct"], 0)
+    for name in counts:
+
+        def counted(*args, _name=name, _real=getattr(search, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(search, name, counted)
+    return counts
+
+
+class TestTracedNames:
+    """A search looks its tests and construct up in speclab.search at each
+    call, so a tracer that replaces those attributes sees every call."""
+
+    @pytest.mark.parametrize("constraint", sorted(TRACED))
+    def test_search_calls_the_traced_test(self, monkeypatch, constraint):
+        counts = count_traced(monkeypatch)
+        calls = record_status(monkeypatch)
+        extremal_search(5, constraint)
+        want = dict.fromkeys(TRACED.values(), 0)
+        want.update({TRACED[constraint]: len(calls), "construct": 1})
+        assert calls and counts == want
+
+    def test_verify_calls_the_traced_construct(self, monkeypatch):
+        counts = count_traced(monkeypatch)
+        calls = record_status(monkeypatch)
+        verify_theorem_small_n(parse_constraint("qt-subgraph:t=1"), (4, 5))
+        # per n, verify builds the join and so does its search
+        assert counts["construct"] == 4
+        assert counts["qt_subgraph_witness"] == len(calls) > 0
+
+
 class TestVerifyTheorem:
     def test_star_matches_for_all_small_n(self):
-        reps = verify_theorem_small_n("fs", 1, (4, 7))
+        reps = verify_theorem_small_n(parse_constraint("fs:s=1"), (4, 7))
         assert [r.n for r in reps] == [4, 5, 6, 7]
         assert all(r.match for r in reps)
         for r in reps:
             assert abs(r.best_rho - math.sqrt(r.n - 1)) <= 1e-9
 
     def test_qt_mode_records_flags(self):
-        reps = verify_theorem_small_n("qt", 1, (5, 7))
+        reps = verify_theorem_small_n(parse_constraint("qt:t=1"), (5, 7))
         assert [r.constraint for r in reps] == ["qt-minor-free:t=1"] * 3
         assert all(isinstance(r.match, bool) for r in reps)
 
     def test_qt_subgraph_mode(self):
-        reps = verify_theorem_small_n("qt-subgraph", 1, (5, 6))
+        reps = verify_theorem_small_n(parse_constraint("qt-subgraph:t=1"), (5, 6))
         assert len(reps) == 2
         assert all(r.exhausted_count == 0 for r in reps)
 
+    def test_fs_subgraph_mode_records_the_bipartite_winner(self):
+        # K_1 + I_{n-1}, the star, has no triangle and passes its own test,
+        # but K_{n//2, n - n//2} has no triangle either and a larger radius
+        reps = verify_theorem_small_n(parse_constraint("fs-subgraph-free:s=1"), (4, 6))
+        assert [r.constraint for r in reps] == ["fs-subgraph-free:s=1"] * 3
+        for r in reps:
+            star, _ = construct(FamilySpec("ks-join-independent", s=1, n=r.n))
+            a = r.n // 2
+            bipartite, _ = construct(FamilySpec("complete-bipartite", a=a, b=r.n - a))
+            assert r.predicted_g6 == canonical_code(star).decode("ascii")
+            assert r.maximizers == (canonical_code(bipartite).decode("ascii"),)
+            assert abs(r.best_rho - math.sqrt(a * (r.n - a))) <= 1e-9
+            assert r.exhausted_count == 0 and r.match is False
+
     def test_bad_mode_and_range(self):
         with pytest.raises(ValueError):
-            verify_theorem_small_n("f", 1, (4, 5))
+            parse_constraint("f:s=1")
         with pytest.raises(ValueError):
-            verify_theorem_small_n("fs", 1, (6, 4))
+            verify_theorem_small_n(parse_constraint("fs:s=1"), (6, 4))
 
     def test_unconstructible_prediction_propagates(self):
         with pytest.raises(InvalidSpec):
-            verify_theorem_small_n("fs", 2, (2, 2))
+            verify_theorem_small_n(parse_constraint("fs:s=2"), (2, 2))
 
     def test_unsettled_prediction_is_budget_exhaustion(self, monkeypatch):
         # the join's own freeness test runs out of budget: nothing is refuted
         with pytest.raises(BudgetExhausted, match="exhausted"):
-            verify_theorem_small_n("fs", 2, (5, 5), node_budget=1)
+            verify_theorem_small_n(parse_constraint("fs:s=2"), (5, 5), node_budget=1)
         # a pattern found in the join refutes the prediction
-        monkeypatch.setattr(search, "_test_graph", lambda *args: FOUND)
+        monkeypatch.setattr(Constraint, "status", lambda *args: FOUND)
         with pytest.raises(VerificationFailed, match="found"):
-            verify_theorem_small_n("fs", 2, (5, 5))
+            verify_theorem_small_n(parse_constraint("fs:s=2"), (5, 5))
 
 
 class TestEdgeBoundAudit:
@@ -777,7 +871,7 @@ class TestEdgeBoundAudit:
 
 class TestSerialization:
     def test_csv_round(self):
-        reps = verify_theorem_small_n("fs", 1, (4, 5))
+        reps = verify_theorem_small_n(parse_constraint("fs:s=1"), (4, 5))
         text = reports_to_csv(reps)
         lines = text.strip().splitlines()
         assert lines[0].startswith("n,constraint,enumerated")
@@ -785,6 +879,6 @@ class TestSerialization:
         assert lines[1].split(",")[0] == "4"
 
     def test_csv_without_elapsed_is_stable(self):
-        a = reports_to_csv(verify_theorem_small_n("fs", 1, (4, 5)), False)
-        b = reports_to_csv(verify_theorem_small_n("fs", 1, (4, 5)), False)
+        a = reports_to_csv(verify_theorem_small_n(parse_constraint("fs:s=1"), (4, 5)), False)
+        b = reports_to_csv(verify_theorem_small_n(parse_constraint("fs:s=1"), (4, 5)), False)
         assert a == b
