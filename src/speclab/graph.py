@@ -288,18 +288,6 @@ def join(g1: Graph, g2: Graph) -> Graph:
 # -- connectivity ----------------------------------------------------------
 
 
-def reachable_mask(rows: tuple[int, ...], start_mask: int, within: int) -> int:
-    """All vertices of `within` reachable from start_mask inside `within`."""
-    seen = start_mask & within
-    frontier = seen
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= rows[v]
-        frontier = nxt & within & ~seen
-        seen |= frontier
-    return seen
-
 def component_masks(rows: tuple[int, ...], within: int) -> list[int]:
     """Vertex masks of the components of the subgraph induced on `within`,
     by smallest member, from a breadth-first search over set bits."""
@@ -319,10 +307,7 @@ def component_masks(rows: tuple[int, ...], within: int) -> list[int]:
     return comps
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    full = (1 << g.n) - 1
-    return reachable_mask(g.rows, 1, full) == full
+    return len(component_masks(g.rows, (1 << g.n) - 1)) <= 1
 
 
 # -- graph6 codec ----------------------------------------------------------

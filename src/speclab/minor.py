@@ -83,6 +83,22 @@ search's tree on the same relabelled host.  A found model is mapped
 back to the original labels and verified there.  With a new vertex
 relabelled to 0 and bound 1 the same rule anchors a pruned walk, whose
 parents are all free.
+
+Per-call work: what depends on the pattern alone is a _Plan, built once
+per (kind, param) for F_s and Q_t and once per find_minor_model call:
+the search order, the pattern's edges and degrees indexed by search
+position, its cycle rank, whether the kernel peel applies, and for a
+hub-and-arms pattern the seed filter and its anchor.  A call computes
+only what depends on the host: its order, edge count and cycle rank
+(skipped for a pattern of rank 0, since no rank is negative), its peel,
+and the search.  A search that ends before its first node returns one
+shared not_found answer, as does a Q_t witness search with no center
+of degree >= 2t; answers are frozen, so sharing one is safe.  Each plan
+field is what the engine used to compute from the same pattern and
+order at every call, and the engine reads the pattern only through
+them, so seeds, obligations and paths come in the same order: every status,
+node count and model is unchanged, and every found model still goes
+through verify_model.
 """
 
 from __future__ import annotations
@@ -105,7 +121,6 @@ from .graph import (
     g6_decode,
     g6_encode,
     iter_bits,
-    reachable_mask,
 )
 from .matching import max_matching
 from .record import Record
@@ -147,6 +162,10 @@ class MinorAnswer(Record):
     nodes_used: int
 
 
+# the answer of every search that ends before its first node
+_NOT_FOUND = MinorAnswer(NOT_FOUND, None, 0)
+
+
 def verify_model(host: Graph, model: MinorModel) -> bool:
     """True iff the branch sets really are a model of the pattern in the host."""
     if model.host_n != host.n:
@@ -171,8 +190,7 @@ def verify_model(host: Graph, model: MinorModel) -> bool:
         seen |= m
         masks.append(m)
     for m in masks:
-        start = 1 << next(iter_bits(m))
-        if reachable_mask(host.rows, start, m) != m:
+        if component_masks(host.rows, m)[0] != m:
             return False
     nbr = [0] * len(masks)
     for i, m in enumerate(masks):
@@ -188,24 +206,49 @@ class _Budget(Exception):
     pass
 
 
-class _Engine:
-    """Branch-set search for one (host, pattern) pair; single use."""
+class _Plan:
+    """The pattern side of a search, fixed for the pattern's life (module
+    docstring, per-call work): the search order, the pattern's edges and
+    degrees in search positions, its cycle rank, whether the kernel peel
+    applies, and for a hub-and-arms pattern its seed filter and anchor."""
 
-    def __init__(self, host, pattern, order, budget, seed_filter=None, blocked=0):
-        self.host = host
+    __slots__ = (
+        "pattern", "order", "pos_edges", "pos_degree", "rank", "peel", "seed_filter", "anchor"
+    )
+
+    def __init__(self, pattern, order=None, seed_filter=None, anchor=None):
+        if pattern.n > MAX_PATTERN_VERTICES:
+            raise PatternTooLarge(
+                f"pattern has {pattern.n} vertices, limit {MAX_PATTERN_VERTICES}"
+            )
+        if order is None:
+            order = tuple(
+                sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
+            )
+        pos_of = {v: k for k, v in enumerate(order)}
         self.pattern = pattern
         self.order = order
+        pos = [(pos_of[u], pos_of[v]) for u, v in pattern.edges()]
+        self.pos_edges = tuple(sorted((min(a, b), max(a, b)) for a, b in pos))
+        self.pos_degree = tuple(pattern.rows[v].bit_count() for v in order)
+        self.rank = _cycle_rank(pattern)
+        self.peel = pattern.n > 0 and min(row.bit_count() for row in pattern.rows) >= 2
+        self.seed_filter = seed_filter
+        self.anchor = anchor
+
+
+class _Engine:
+    """Branch-set search for one host and one plan; single use."""
+
+    def __init__(self, host, plan, budget, seed_filter=None, blocked=0):
+        self.host = host
+        self.pattern = plan.pattern
+        self.order = plan.order
+        self.pos_edges = plan.pos_edges
+        self.pos_degree = plan.pos_degree
         self.budget = budget
         self.seed_filter = seed_filter
         self.nodes = 0
-        # pattern adjacency rewritten in search-position indices
-        self.pos_edges = []
-        pos_of = {v: k for k, v in enumerate(order)}
-        for u, v in pattern.edges():
-            a, b = sorted((pos_of[u], pos_of[v]))
-            self.pos_edges.append((a, b))
-        self.pos_edges.sort()
-        self.pos_degree = [pattern.degree(v) for v in order]
         self.sets: list[int] = []
         self.nbrs: list[int] = []  # union of host rows over each set
         self.seeds: list[int] = []
@@ -337,32 +380,25 @@ def _peel(g: Graph) -> int:
         gone |= low
 
 
-def _run_search(host, pattern, budget, order=None, seed_filter=None) -> MinorAnswer:
-    if pattern.n > MAX_PATTERN_VERTICES:
-        raise PatternTooLarge(
-            f"pattern has {pattern.n} vertices, limit {MAX_PATTERN_VERTICES}"
-        )
+def _run_search(host, plan, budget, seed_filter=None) -> MinorAnswer:
+    pattern = plan.pattern
     if pattern.n == 0:
         return MinorAnswer(FOUND, MinorModel(host.n, pattern, ()), 0)
-    if pattern.n > host.n or pattern.edge_count > host.edge_count:
-        return MinorAnswer(NOT_FOUND, None, 0)
-    if _cycle_rank(host) < _cycle_rank(pattern):
-        return MinorAnswer(NOT_FOUND, None, 0)
-    blocked = 0
-    if min(row.bit_count() for row in pattern.rows) >= 2:
-        blocked = _peel(host)
-    if order is None:
-        order = tuple(
-            sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
-        )
-    return _Engine(host, pattern, order, budget, seed_filter, blocked).run()
+    if (
+        pattern.n > host.n
+        or pattern.edge_count > host.edge_count
+        or plan.rank and _cycle_rank(host) < plan.rank
+    ):
+        return _NOT_FOUND
+    blocked = _peel(host) if plan.peel else 0
+    return _Engine(host, plan, budget, seed_filter, blocked).run()
 
 
 def find_minor_model(
     host: Graph, pattern: Graph, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> MinorAnswer:
     """Generic minor-model search; sound always, complete within budget."""
-    return _run_search(host, pattern, node_budget)
+    return _run_search(host, _Plan(pattern), node_budget)
 
 
 def _arm_rivals(size):
@@ -404,9 +440,9 @@ def _anchored_filter(admit, anchor, bound):
 
 
 @lru_cache(maxsize=16, typed=True)
-def _hub_search(kind: str, param: int):
+def _hub_plan(kind: str, param: int) -> _Plan:
     # built once per (kind, param), spec included, since a search asks for
-    # them on every graph; typed, so a param of another type still meets
+    # it on every graph; typed, so a param of another type still meets
     # FamilySpec's check.  The constructed labels put the hub first and
     # each arm contiguously, the positions the seed filter assumes
     if kind == "friendship":
@@ -414,17 +450,17 @@ def _hub_search(kind: str, param: int):
     else:
         spec, arm_size = FamilySpec(kind, t=param), 3
     pattern, _ = construct(spec)
-    # the last position whose seed no rival bounds from below; a pattern
-    # over the size limit is refused later, by _run_search
+    # the last position whose seed no rival bounds from below
     anchor = max(k for k, j in enumerate(_arm_rivals(arm_size)[: pattern.n]) if j < 0)
-    return pattern, _arm_seed_filter(arm_size), anchor
+    return _Plan(pattern, tuple(range(pattern.n)), _arm_seed_filter(arm_size), anchor)
 
 
 def _hub_minor(host, kind, param, node_budget, least_below) -> MinorAnswer:
-    pattern, seed_filter, anchor = _hub_search(kind, param)
+    plan = _hub_plan(kind, param)
+    seed_filter = plan.seed_filter
     if least_below is not None:
-        seed_filter = _anchored_filter(seed_filter, anchor, least_below)
-    return _run_search(host, pattern, node_budget, tuple(range(pattern.n)), seed_filter)
+        seed_filter = _anchored_filter(seed_filter, plan.anchor, least_below)
+    return _run_search(host, plan, node_budget, seed_filter)
 
 
 def has_fs_minor(
@@ -467,8 +503,8 @@ def fs_subgraph_witness(g: Graph, s: int) -> FsWitness | None:
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    for v in range(g.n):
-        if g.degree(v) < 2 * s:
+    for v, row in enumerate(g.rows):
+        if row.bit_count() < 2 * s:
             continue
         sub, labels = g.induced_subgraph(g.neighbors(v))
         size, match = max_matching(sub, stop_at=s)
@@ -497,6 +533,10 @@ class WitnessAnswer(Record):
     nodes_used: int
 
 
+# the answer of a witness search with no center of degree >= 2t
+_NO_WITNESS = WitnessAnswer(NOT_FOUND, None, 0)
+
+
 def qt_subgraph_witness(
     g: Graph, t: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> WitnessAnswer:
@@ -508,6 +548,11 @@ def qt_subgraph_witness(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
+    centers = []
+    if g.n >= 3 * t + 1:
+        centers = [v for v, row in enumerate(g.rows) if row.bit_count() >= 2 * t]
+    if not centers:
+        return _NO_WITNESS
     nodes = 0
 
     def search(center: int) -> QtWitness | None:
@@ -543,16 +588,13 @@ def qt_subgraph_witness(
             return QtWitness(center=center, arms=tuple(arms))
         return None
 
-    if g.n >= 3 * t + 1:
-        try:
-            for center in range(g.n):
-                if g.degree(center) < 2 * t:
-                    continue
-                w = search(center)
-                if w is not None:
-                    return WitnessAnswer(FOUND, w, nodes)
-        except _Budget:
-            return WitnessAnswer(EXHAUSTED, None, nodes)
+    try:
+        for center in centers:
+            w = search(center)
+            if w is not None:
+                return WitnessAnswer(FOUND, w, nodes)
+    except _Budget:
+        return WitnessAnswer(EXHAUSTED, None, nodes)
     return WitnessAnswer(NOT_FOUND, None, nodes)
 
 
@@ -682,7 +724,7 @@ def clique_closure_check(
         raise BudgetExhausted("budget too small to certify the host is minor-free")
     host, old_label, k = _ends_first(g, members)
     if k == 0:
-        closed = MinorAnswer(NOT_FOUND, None, 0)
+        closed = _NOT_FOUND
     else:
         closed = run(host, param, node_budget, least_below=k - 1)
     if closed.model is not None:

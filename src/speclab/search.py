@@ -394,6 +394,12 @@ def extremal_search(
     forces match to false: the maximizer set is then not certified
     complete.
     """
+    return _extremal_search(n, constraint, node_budget, workers)
+
+
+def _extremal_search(n, constraint, node_budget, workers, g_pred=None) -> SearchReport:
+    """extremal_search, given the predicted join when the caller has
+    built it already, as verify_theorem_small_n has."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if n < 1:
@@ -401,8 +407,9 @@ def extremal_search(
     t0 = time.perf_counter()
     if isinstance(constraint, str):
         constraint = parse_constraint(constraint)
-    # built first, so a join its spec rules out (s >= n) fails before the scan
-    g_pred, _ = construct(constraint.predicted(n))
+    if g_pred is None:
+        # built first, so a join its spec rules out (s >= n) fails before the scan
+        g_pred, _ = construct(constraint.predicted(n))
     pred_g6 = canonical_code(g_pred).decode("ascii")
     parents = connected_rows(n - 1, constraint.holds(node_budget))
     if workers == 1:
@@ -483,7 +490,7 @@ def verify_theorem_small_n(
                 f"predicted rho {rho!r} disagrees with closed form {closed!r} "
                 f"at n={n}"
             )
-        reports.append(extremal_search(n, constraint, node_budget, workers))
+        reports.append(_extremal_search(n, constraint, node_budget, workers, g_pred))
     return reports
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -13,13 +14,16 @@ from speclab.errors import (
 )
 from speclab.enumerate import enumerate_connected
 from speclab.families import FamilySpec, construct
+from speclab import minor
 from speclab.graph import Graph
 from speclab.minor import (
     EXHAUSTED,
     FOUND,
     NOT_FOUND,
+    MinorAnswer,
     MinorModel,
     _Engine,
+    _Plan,
     _arm_seed_filter,
     _ends_first,
     check_structure_fs,
@@ -328,7 +332,7 @@ class TestKernelAndRank:
         for g in kernel_corpus():
             for run, pat, order, seed_filter in cases:
                 ans = run(g)
-                ref = _Engine(g, pat, order, 10**7, seed_filter).run()
+                ref = _Engine(g, _Plan(pat, order), 10**7, seed_filter).run()
                 assert ans.status == ref.status != EXHAUSTED, (g.rows, pat.rows)
                 if ans.status == FOUND:
                     assert verify_model(g, ans.model)
@@ -346,9 +350,9 @@ class TestKernelAndRank:
         ]
         for g in kernel_corpus():
             for pat, size, ref_filter in cases:
-                order = tuple(range(pat.n))
-                got = _Engine(g, pat, order, 10**7, _arm_seed_filter(size)).run()
-                want = _Engine(g, pat, order, 10**7, ref_filter).run()
+                plan = _Plan(pat, tuple(range(pat.n)))
+                got = _Engine(g, plan, 10**7, _arm_seed_filter(size)).run()
+                want = _Engine(g, plan, 10**7, ref_filter).run()
                 assert got.status == want.status, (g.rows, pat.rows)
                 assert got.nodes_used == want.nodes_used, (g.rows, pat.rows)
 
@@ -369,6 +373,131 @@ class TestKernelAndRank:
         got = has_fs_minor(g, 2)
         assert want.status == got.status == NOT_FOUND
         assert got.nodes_used == want.nodes_used
+
+
+def cycle_rank(g):
+    """m - n + c by union-find, no shared code with the engine."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    components = g.n
+    for u, v in g.edges():
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            components -= 1
+    return g.edge_count - g.n + components
+
+
+def rebuilt(g, pattern, order, seed_filter):
+    """The search with its plan built for this call alone, its exits
+    decided here and a fresh answer at each of them."""
+    if pattern.n > g.n or pattern.edge_count > g.edge_count or cycle_rank(g) < cycle_rank(pattern):
+        return MinorAnswer(NOT_FOUND, None, 0)
+    peel = min(row.bit_count() for row in pattern.rows) >= 2
+    blocked = minor._peel(g) if peel else 0
+    return _Engine(g, _Plan(pattern, order), 10**7, seed_filter, blocked).run()
+
+
+def first_fs_center(g, s):
+    """The first vertex whose neighbourhood holds s <= 2 disjoint edges,
+    by brute force, or None."""
+    for v in range(g.n):
+        inner = [(x, y) for x, y in g.edges() if g.rows[v] >> x & g.rows[v] >> y & 1]
+        pairs = itertools.combinations(inner, 2)
+        if inner and (s == 1 or any(not {a, b} & {c, d} for (a, b), (c, d) in pairs)):
+            return v
+    return None
+
+
+def has_c4(g):
+    return any(
+        (g.rows[u] & g.rows[w]).bit_count() >= 2 for u in range(g.n) for w in range(u)
+    )
+
+
+def plan_hosts():
+    """Every connected graph with n <= 7 and 150 G(n, p) hosts with n <= 10."""
+    hosts = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    rng = random.Random(2707)
+    for _ in range(150):
+        hosts.append(random_graph(rng.randint(1, 10), rng.choice((0.1, 0.2, 0.35, 0.5, 0.7)), rng))
+    return hosts
+
+
+class TestPlans:
+    """Pattern plans built once and shared trivial answers (module
+    docstring, per-call work) against searches that share nothing."""
+
+    def test_differential_against_rebuilt_plans(self):
+        # (query, pattern, search order, seed filter); the anchors are the
+        # last rival-free positions: F_s's first arm end, Q_t's last middle
+        hub = [("fs", s, friendship(s), _arm_seed_filter(2), 1) for s in (1, 2)]
+        hub += [("qt", t, quadrilaterals(t), _arm_seed_filter(3), 3 * t - 1) for t in (1, 2)]
+        generic = [(complete(4), None), (cycle(5), None)]
+        shared = searched = 0
+        for g in plan_hosts():
+            pairs = []
+            for mode, param, pat, admit, anchor in hub:
+                order = tuple(range(pat.n))
+                run = HUB_SEARCH[mode]
+                pairs.append((run(g, param), rebuilt(g, pat, order, admit)))
+                bound = 2
+                anchored = minor._anchored_filter(admit, anchor, bound)
+                pairs.append((run(g, param, least_below=bound), rebuilt(g, pat, order, anchored)))
+            for pat, order in generic:
+                pairs.append((find_minor_model(g, pat), rebuilt(g, pat, order, None)))
+            for got, want in pairs:
+                assert got.status == want.status != EXHAUSTED, g.rows
+                assert got.nodes_used == want.nodes_used, g.rows
+                assert got.model == want.model, g.rows
+                assert (got is minor._NOT_FOUND) == (want.nodes_used == 0), g.rows
+                shared += got is minor._NOT_FOUND
+                searched += got.nodes_used > 0
+            for s in (1, 2):
+                w = fs_subgraph_witness(g, s)
+                if w is not None:
+                    check_fs_witness(g, s, w)
+                assert (w.center if w else None) == first_fs_center(g, s), g.rows
+            for t in (1, 2):
+                ans = qt_subgraph_witness(g, t)
+                centers = g.n >= 3 * t + 1 and any(row.bit_count() >= 2 * t for row in g.rows)
+                assert (ans is minor._NO_WITNESS) == (not centers), g.rows
+                assert ans.status != EXHAUSTED and (ans.nodes_used > 0) == centers, g.rows
+                if ans.status == FOUND:
+                    check_qt_witness(g, t, ans.witness)
+                if t == 1:
+                    assert (ans.status == FOUND) == has_c4(g), g.rows
+        assert shared > 1000 and searched > 1000
+
+    def test_pattern_setup_once_per_pattern(self, monkeypatch):
+        hosts = plan_hosts()
+        ranked = []  # every graph whose cycle rank is computed
+        real_rank = minor._cycle_rank
+        monkeypatch.setattr(minor, "_cycle_rank", lambda g: ranked.append(g) or real_rank(g))
+        tables = []  # the position tables of every engine, kept alive
+
+        class Engine(_Engine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tables.append((self.pos_edges, self.pos_degree))
+
+        monkeypatch.setattr(minor, "_Engine", Engine)
+        minor._hub_plan.cache_clear()
+        for g in hosts:
+            for s in (1, 2):
+                has_fs_minor(g, s)
+                has_fs_minor(g, s, least_below=2)
+            for t in (1, 2):
+                has_qt_minor(g, t)
+        host_ids = {id(g) for g in hosts}
+        assert sum(id(g) not in host_ids for g in ranked) == 4
+        assert len(tables) > 1000
+        assert len({id(e) for e, _ in tables}) == len({id(d) for _, d in tables}) == 4
 
 
 def closure_hosts():

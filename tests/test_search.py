@@ -450,7 +450,8 @@ class TestWorkers:
         assert screened.is_set()
 
     def test_exception_in_a_worker_reaches_the_caller_with_its_type(self, monkeypatch):
-        failed = multiprocessing.Event()  # made before the fork, shared
+        # made before the fork, shared
+        failed, holding = multiprocessing.Event(), multiprocessing.Event()
         tested = []  # the parents of the level-7 graphs the search process tests
 
         def fail():
@@ -461,12 +462,16 @@ class TestWorkers:
 
         def planted(real, c, g, budget):
             if g.n == 7 and os.getpid() != search_pid:
+                # not before the search process holds a share, which it
+                # takes only after loading numpy
+                holding.wait(timeout=60)
                 fail()
             elif g.n == 7:
                 # the search process waits at its first graph of level 7
                 # until the worker has failed and exited, so the worker
                 # takes shares meanwhile and has stopped the hand-out
                 if not tested:
+                    holding.set()
                     failed.wait(timeout=60)
                     deadline = time.monotonic() + 60
                     while multiprocessing.active_children() and time.monotonic() < deadline:
@@ -757,8 +762,8 @@ class TestTracedNames:
         counts = count_traced(monkeypatch)
         calls = record_status(monkeypatch)
         verify_theorem_small_n(parse_constraint("qt-subgraph:t=1"), (4, 5))
-        # per n, verify builds the join and so does its search
-        assert counts["construct"] == 4
+        # per n, verify builds the join once and hands it to its search
+        assert counts["construct"] == 2
         assert counts["qt_subgraph_witness"] == len(calls) > 0
 
 
