@@ -89,16 +89,15 @@ per (kind, param) for F_s and Q_t and once per find_minor_model call:
 the search order, the pattern's edges and degrees indexed by search
 position, its cycle rank, whether the kernel peel applies, and for a
 hub-and-arms pattern the seed filter and its anchor.  A call computes
-only what depends on the host: its order, edge count and cycle rank
-(skipped for a pattern of rank 0, since no rank is negative), its peel,
-and the search.  A search that ends before its first node returns one
-shared not_found answer, as does a Q_t witness search with no center
-of degree >= 2t; answers are frozen, so sharing one is safe.  Each plan
-field is what the engine used to compute from the same pattern and
-order at every call, and the engine reads the pattern only through
-them, so seeds, obligations and paths come in the same order: every status,
-node count and model is unchanged, and every found model still goes
-through verify_model.
+only what depends on the host: its order, edge count and cycle rank,
+its peel, and the search.  A search that ends before its first node
+returns one shared not_found answer, as does a Q_t witness search with
+no center of degree >= 2t; answers are frozen, so sharing one is safe.
+Each plan field is what the engine used to compute from the same
+pattern and order at every call, and the engine reads the pattern only
+through them, so seeds, obligations and paths come in the same order:
+every status, node count and model is unchanged, and every found model
+still goes through verify_model.
 """
 
 from __future__ import annotations
@@ -387,7 +386,7 @@ def _run_search(host, plan, budget, seed_filter=None) -> MinorAnswer:
     if (
         pattern.n > host.n
         or pattern.edge_count > host.edge_count
-        or plan.rank and _cycle_rank(host) < plan.rank
+        or _cycle_rank(host) < plan.rank
     ):
         return _NOT_FOUND
     blocked = _peel(host) if plan.peel else 0
