@@ -246,12 +246,11 @@ class Graph:
         for u in order:
             self.check_vertex(u)
         pos = {u: i for i, u in enumerate(order)}
+        keep = sum(1 << u for u in order)
         rows = [0] * len(order)
         for i, u in enumerate(order):
-            for w in iter_bits(self.rows[u]):
-                j = pos.get(w)
-                if j is not None:
-                    rows[i] |= 1 << j
+            for w in iter_bits(self.rows[u] & keep):
+                rows[i] |= 1 << pos[w]
         return Graph(rows), tuple(order)
 
     def relabel(self, perm: Iterable[int]) -> "Graph":

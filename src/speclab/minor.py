@@ -90,9 +90,10 @@ the search order, the pattern's edges and degrees indexed by search
 position, its cycle rank, whether the kernel peel applies, and for a
 hub-and-arms pattern the seed filter and its anchor.  A call computes
 only what depends on the host: its order, edge count and cycle rank,
-its peel, and the search.  A search that ends before its first node
-returns one shared not_found answer, as does a Q_t witness search with
-no center of degree >= 2t; answers are frozen, so sharing one is safe.
+its peel, and the search.  A search that rules the pattern out before
+its first node returns one shared not_found answer, as does a Q_t
+witness search with no center of degree >= 2t; answers are frozen, so
+sharing one is safe.
 Each plan field is what the engine used to compute from the same
 pattern and order at every call, and the engine reads the pattern only
 through them, so seeds, obligations and paths come in the same order:
@@ -161,7 +162,7 @@ class MinorAnswer(Record):
     nodes_used: int
 
 
-# the answer of every search that ends before its first node
+# the answer of every search that rules the pattern out before its first node
 _NOT_FOUND = MinorAnswer(NOT_FOUND, None, 0)
 
 

@@ -288,6 +288,14 @@ class TestJoinUnion:
         h, labels = g.induced_subgraph([0, 1, 3])
         assert labels == (0, 1, 3)
         assert edge_set(h) == {(0, 1)}
+        rng = random.Random(43)
+        for _ in range(100):
+            g = random_graph(rng, rng.randint(1, 12), 0.5)
+            members = [v for v in range(g.n) if rng.random() < 0.6]
+            h, labels = g.induced_subgraph(members)
+            assert labels == tuple(members)
+            pairs = itertools.combinations(range(h.n), 2)
+            assert edge_set(h) == {(i, j) for i, j in pairs if g.has_edge(labels[i], labels[j])}
 
     def test_relabel_preserves_structure(self):
         rng = random.Random(31)
